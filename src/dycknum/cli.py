@@ -17,6 +17,12 @@ from pathlib import Path
 from . import __version__, bfile, core, oracle, sequence
 
 
+def _str_digit_limit() -> int:
+    # the interpreter's cap on int <-> decimal text conversion, 0 for none
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
 def _natural(text: str) -> int:
     try:
         value = int(text, 10)
@@ -24,6 +30,14 @@ def _natural(text: str) -> int:
         try:
             value = int(text, 0)
         except ValueError:
+            digits = text.strip().replace("_", "")
+            limit = _str_digit_limit()
+            if limit and digits.isdecimal() and len(digits) > limit:
+                raise argparse.ArgumentTypeError(
+                    f"{len(digits)} decimal digits exceed Python's limit of "
+                    f"{limit} for decimal conversion; give the number in 0x or "
+                    f"0b form"
+                ) from None
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
@@ -38,7 +52,16 @@ def _positive(text: str) -> int:
 
 
 def _fmt(n: int, binary: bool) -> str:
-    return format(n, "b") if binary else str(n)
+    if binary:
+        return format(n, "b")
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(
+            f"{n.bit_length()}-bit result has more decimal digits than "
+            f"Python's limit of {_str_digit_limit()} for decimal conversion; "
+            f"use --binary"
+        ) from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -110,8 +133,8 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         if args.count is not None or args.offset is not None:
             args.parser.error("--check cannot be combined with --count/--offset")
         reference = bfile.parse_bfile(Path(args.check).read_text())
-        cursor = sequence.SequenceCursor.from_index(reference.offset)
-        values = tuple(v for _, v in islice(cursor.pairs(), len(reference)))
+        terms = sequence.iter_from(sequence.term_at(reference.offset))
+        values = tuple(islice(terms, len(reference)))
         report = bfile.compare(bfile.BFile(reference.offset, values), reference)
         if report.verdict == bfile.MATCH:
             print(f"match: {report.compared_count} terms agree")
@@ -124,8 +147,8 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         return 1
     count = 20 if args.count is None else args.count
     offset = 1 if args.offset is None else args.offset
-    cursor = sequence.SequenceCursor.from_index(offset)
-    for index, value in islice(cursor.pairs(), count):
+    terms = sequence.iter_from(sequence.term_at(offset))
+    for index, value in islice(enumerate(terms, start=offset), count):
         print(f"{index} {value}")
     return 0
 

@@ -2,10 +2,15 @@
 
 Dyck numbers of the same binary length k form the k-th range: it starts
 at the successor of the (k-1)-th Mersenne number and ends at the k-th.
-Range sizes appear to follow the central binomial sequence A001405, with
-the k-th range holding C(k-1, floor((k-1)/2)) terms. That is verified
-empirically here, not proven, so every routine that skips ahead using
-expected sizes double-checks the terms it lands on.
+Below its leading 1, a k-bit Dyck number is a string of k-1 digits that,
+read from the low end with 1 as a step up and 0 as a step down, is a walk
+that never goes below 0; every such walk occurs. Range k therefore holds
+C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
+
+term_at and index_of rank and unrank exactly by counting those walks
+with ballot numbers, so an ordinal costs O(k) binomial coefficients and
+no successor steps. range_stats and verify_conjecture count each range
+by walking the successor instead, independently of those counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -13,14 +18,11 @@ A036991 b-file (term 13496 is 65535).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
 from . import core
-
-logger = logging.getLogger(__name__)
 
 
 def central_binomial(m: int) -> int:
@@ -101,82 +103,77 @@ def range_stats(k: int) -> RangeStats:
 def verify_conjecture(max_k: int) -> list[RangeStats]:
     """Count ranges 1..max_k and compare each against A001405(k-1).
 
-    Agreement says nothing beyond the checked indices; the range-size law
-    is a conjecture and this is a desk check, not a proof.
+    The range-size law follows from the walk bijection in the module
+    docstring. This recount walks the successor and shares no code with
+    the ranking counts, so it checks the two against each other.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     return [range_stats(k) for k in range(1, max_k + 1)]
 
 
-def _locate_range(i: int) -> tuple[int, int]:
-    # (range index, offset inside range) of ordinal i >= 2 under the
-    # conjectured sizes
-    first_ordinal = 2
-    k = 1
-    while True:
-        size = central_binomial(k - 1)
-        if i < first_ordinal + size:
-            return k, i - first_ordinal
-        first_ordinal += size
-        k += 1
-
-
-def _term_at_by_iteration(i: int) -> int:
-    d = 0
-    for _ in range(i - 1):
-        d = core._successor_unchecked(d)
-    return d
+def _completions(r: int, need: int) -> int:
+    # nonnegative walks of r steps that end at height >= need; the ballot
+    # numbers C(r,(r+h)/2) - C(r,(r+h)/2+1) summed over h >= need
+    # telescope to one binomial, which is 0 once need > r
+    return comb(r, (r + need + 1) // 2)
 
 
 def term_at(i: int) -> int:
     """The i-th Dyck number, 1-based, with term_at(1) = 0.
 
-    Whole ranges are skipped using the conjectured A001405 sizes, then
-    the successor walks the final stretch. If the walk ever crosses a
-    range boundary where the conjectured size said it should not, the
-    conjecture failed there: the result is recomputed by plain iteration
-    from 0 and a warning is logged.
+    Whole ranges are skipped by their exact sizes, then the digits below
+    the leading 1 are chosen from the top down: a 0 is kept while the
+    rank left is below the number of walks that complete it. The cost
+    is O(bit length) binomial coefficients.
     """
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
     if i == 1:
         return 0
-    k, offset = _locate_range(i)
-    d = core.mersenne_successor(k - 1)
-    if d.bit_length() != k:
-        logger.warning("range %d does not start at a %d-bit number", k, k)
-        return _term_at_by_iteration(i)
-    last = core.mersenne(k)
-    for _ in range(offset):
-        d = core._successor_unchecked(d)
-        if d > last:
-            logger.warning(
-                "range %d is larger than the conjectured size; "
-                "falling back to full iteration for ordinal %d",
-                k,
-                i,
-            )
-            return _term_at_by_iteration(i)
+    rank = i - 2
+    k = 1
+    while rank >= (size := _completions(k - 1, 0)):
+        rank -= size
+        k += 1
+    d = 1
+    # least end height the free low digits need so that the digits fixed
+    # above them stay on or above ground
+    need = 0
+    for r in range(k - 2, -1, -1):
+        with_zero = _completions(r, need + 1)
+        if rank < with_zero:
+            d <<= 1
+            need += 1
+        else:
+            rank -= with_zero
+            d = d << 1 | 1
+            need = max(0, need - 1)
     return d
 
 
 def index_of(d: int) -> int:
     """1-based ordinal of the Dyck number d; inverse of term_at.
 
-    Raises NotDyckNumberError for non-Dyck input. Ordinals of terms in
-    unexplored ranges rest on the conjectured sizes of all earlier
-    ranges, like term_at.
+    The ordinal is the exact count of Dyck numbers below d plus one:
+    the sizes of the shorter ranges, then, at each 1-digit of d below its
+    leading 1, the terms that carry a 0 there instead. Raises
+    NotDyckNumberError for non-Dyck input.
     """
     core._require_dyck(d)
     if d == 0:
         return 1
     k = d.bit_length()
-    ordinal = 2 + sum(central_binomial(j - 1) for j in range(1, k))
-    t = core.mersenne_successor(k - 1)
-    while t < d:
-        t = core._successor_unchecked(t)
-        ordinal += 1
+    ordinal = 2 + sum(_completions(r, 0) for r in range(k - 1))
+    need = 0
+    r = k - 1
+    for bit in bin(d)[3:]:
+        r -= 1
+        if bit == "1":
+            ordinal += _completions(r, need + 1)
+            need = max(0, need - 1)
+        else:
+            need += 1
     return ordinal
 
 

@@ -1,8 +1,10 @@
 """End-to-end tests of the dyck command line tool via main()."""
 
+import sys
+
 import pytest
 
-from dycknum import bfile, sequence
+from dycknum import bfile, core, sequence
 from dycknum.cli import main
 
 
@@ -200,6 +202,73 @@ class TestBFileCommand:
         code, _, err = run(capsys, "bfile", "--check", str(path))
         assert code == 1
         assert "index gap" in err
+
+
+class TestBFileAtHugeOffset:
+    OFFSET = 10**18
+
+    def test_emission(self, capsys):
+        code, out, _ = run(capsys, "bfile", "--offset", str(self.OFFSET), "--count", "3")
+        rows = [tuple(map(int, line.split())) for line in out.splitlines()]
+        assert code == 0
+        assert [i for i, _ in rows] == [self.OFFSET, self.OFFSET + 1, self.OFFSET + 2]
+        values = [v for _, v in rows]
+        assert values[1] == core.successor(values[0])
+        assert values[2] == core.successor(values[1])
+
+    def _write(self, tmp_path, plant_even=False):
+        terms = [sequence.term_at(self.OFFSET)]
+        for _ in range(2):
+            terms.append(core.successor(terms[-1]))
+        if plant_even:
+            terms[1] += 1
+        path = tmp_path / "b036991.txt"
+        path.write_text(bfile.emit_bfile(terms, offset=self.OFFSET))
+        return path, terms
+
+    def test_check_match(self, capsys, tmp_path):
+        path, _ = self._write(tmp_path)
+        code, out, _ = run(capsys, "bfile", "--check", str(path))
+        assert (code, out) == (0, "match: 3 terms agree\n")
+
+    def test_check_planted_even_value(self, capsys, tmp_path):
+        path, terms = self._write(tmp_path, plant_even=True)
+        code, out, _ = run(capsys, "bfile", "--check", str(path))
+        assert code == 1
+        assert out == (
+            f"mismatch at index {self.OFFSET + 1}: "
+            f"expected {terms[1]}, got {terms[1] - 1}\n"
+        )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="no limit on int <-> decimal text conversion",
+)
+class TestDecimalDigitLimit:
+    def test_long_decimal_input_is_refused_as_too_long(self, capsys):
+        digits = "1" * (sys.get_int_max_str_digits() + 700)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["check", digits])
+        err = capsys.readouterr().err
+        assert exc_info.value.code == 2
+        assert "decimal digits exceed" in err
+        assert "0x or 0b form" in err
+        assert "not a number" not in err
+
+    def test_same_size_in_hex_is_accepted(self, capsys):
+        hex_digits = "f" * (sys.get_int_max_str_digits() + 700)
+        assert run(capsys, "check", "0x" + hex_digits)[:2] == (0, "yes\n")
+
+    def test_long_decimal_output_points_at_binary(self, capsys):
+        ones = "0b" + "1" * (4 * sys.get_int_max_str_digits())
+        code, out, err = run(capsys, "succ", ones)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "use --binary" in err
+        code, out, _ = run(capsys, "succ", ones, "--binary")
+        assert code == 0
+        assert int(out, 2) == core.mersenne_successor(len(ones) - 2)
 
 
 class TestOracleSucc:

@@ -141,13 +141,13 @@ def test_standard_code_reverses_order_within_semilength():
         assert len(set(codes)) == len(codes)
 
 
-@given(st.integers(min_value=1, max_value=2000))
+@given(st.integers(min_value=1, max_value=10**40))
 @settings(deadline=None)
 def test_index_of_inverts_term_at(i):
     assert sequence.index_of(sequence.term_at(i)) == i
 
 
-@given(dyck_numbers(max_bits=14))
+@given(dyck_numbers(max_bits=256))
 @settings(deadline=None)
 def test_term_at_inverts_index_of(d):
     assert sequence.term_at(sequence.index_of(d)) == d

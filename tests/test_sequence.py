@@ -1,11 +1,11 @@
 """Unit tests for enumeration, ranges, and ordinal indexing."""
 
-import logging
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dycknum import core, sequence
+from dycknum import core, oracle, sequence
 
 HEAD = [0, 1, 3, 5, 7, 11, 13, 15, 19, 21, 23, 27, 29, 31, 39, 43, 45, 47, 51, 53, 55]
 
@@ -128,14 +128,6 @@ class TestTermAt:
         with pytest.raises(ValueError):
             sequence.term_at(0)
 
-    def test_falls_back_when_conjectured_sizes_overcount(self, monkeypatch, caplog):
-        # an inflated size table sends the walk across a range boundary;
-        # the answer must still come out right, by plain iteration
-        monkeypatch.setattr(sequence, "central_binomial", lambda m: 1000)
-        with caplog.at_level(logging.WARNING, logger="dycknum.sequence"):
-            assert sequence.term_at(9) == 19
-        assert any("falling back" in r.message for r in caplog.records)
-
 
 class TestIndexOf:
     def test_head_ordinals(self):
@@ -161,9 +153,38 @@ class TestIndexOf:
     def test_mersenne_ordinals_accumulate_range_sizes(self):
         # the k-th Mersenne number closes range k, so its ordinal is one
         # (for the zero term) plus the sizes of ranges 1..k
-        for k in range(1, 17):
+        for k in range(1, 201):
             expected = 1 + sum(sequence.central_binomial(j) for j in range(k))
             assert sequence.index_of(core.mersenne(k)) == expected
+
+
+class TestExactRanking:
+    def test_every_term_below_2_to_16_against_the_oracle(self):
+        terms = [0]
+        for k in range(1, 17):
+            terms.extend(oracle.brute_range(k))
+        for i, d in enumerate(terms, start=1):
+            assert sequence.index_of(d) == i
+            assert sequence.term_at(i) == d
+
+    @given(st.integers(min_value=1, max_value=10**40))
+    @settings(deadline=None)
+    def test_consecutive_ordinals_are_successors(self, i):
+        assert sequence.term_at(i + 1) == core.successor(sequence.term_at(i))
+
+    def test_no_successor_walk(self, monkeypatch):
+        # ordinals near 10**18 or 200 bits are out of reach of any walk;
+        # the pinned term was checked by a separate digit-DP count of the
+        # Dyck numbers up to it, low digit first, with no binomials
+        def no_walk(d):
+            raise AssertionError("ranking must not step the successor")
+
+        monkeypatch.setattr(core, "_successor_unchecked", no_walk)
+        d = sequence.term_at(10**18)
+        assert d == 9983547819144068307
+        assert sequence.index_of(d) == 10**18
+        expected = 1 + sum(sequence.central_binomial(j) for j in range(200))
+        assert sequence.index_of(core.mersenne(200)) == expected
 
 
 class TestSequenceCursor:
