@@ -41,7 +41,6 @@ from .core import (
 from .oracle import brute_range, brute_successor, kasa_zero_bounds
 from .sequence import (
     RangeStats,
-    SequenceCursor,
     central_binomial,
     index_of,
     iter_from,
@@ -65,7 +64,6 @@ __all__ = [
     "NotDyckNumberError",
     "NotDyckWordError",
     "RangeStats",
-    "SequenceCursor",
     "UP",
     "brute_range",
     "brute_successor",

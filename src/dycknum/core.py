@@ -18,12 +18,13 @@ All functions are pure and operate on plain ``int`` values of any size.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 UP = "U"
 DOWN = "D"
 
 _BITS_TO_STEPS = str.maketrans("01", UP + DOWN)
 _STEPS_TO_BITS = str.maketrans(UP + DOWN, "01")
-_STEPS_TO_STANDARD = str.maketrans(UP + DOWN, "10")
 
 
 class NotDyckNumberError(ValueError):
@@ -32,8 +33,13 @@ class NotDyckNumberError(ValueError):
     def __init__(self, value: int, suffix: str):
         self.value = value
         self.suffix = suffix
+        try:
+            shown = str(value)
+        except ValueError:
+            # past the interpreter's limit on int -> decimal conversion
+            shown = f"a {value.bit_length()}-bit number"
         super().__init__(
-            f"{value} is not a Dyck number: suffix {suffix} of its binary "
+            f"{shown} is not a Dyck number: suffix {suffix} of its binary "
             f"expansion has more 0s than 1s"
         )
 
@@ -52,6 +58,21 @@ def _reversed_bits(n: int) -> str:
     return bin(n)[:1:-1]
 
 
+def _walk(steps: str, up: str, down: str) -> tuple[int, int]:
+    # walk from the ground until a step is neither up nor down, or is a
+    # down at height 0; return where it stopped (len(steps) if it never
+    # did) and the height reached there
+    level = 0
+    for pos, step in enumerate(steps):
+        if step == up:
+            level += 1
+        elif step == down and level:
+            level -= 1
+        else:
+            return pos, level
+    return len(steps), level
+
+
 def violating_suffix(n: int) -> str | None:
     """Shortest suffix of n's binary expansion with more 0s than 1s.
 
@@ -63,15 +84,11 @@ def violating_suffix(n: int) -> str | None:
         raise ValueError(f"expected a natural number, got {n}")
     if n == 0:
         return None
-    balance = 0
-    pos = 0
-    for bit in _reversed_bits(n):
-        balance += 1 if bit == "1" else -1
-        if balance < 0:
-            width = pos + 1
-            return format(n & ((1 << width) - 1), f"0{width}b")
-        pos += 1
-    return None
+    pos, _ = _walk(_reversed_bits(n), "1", "0")
+    if pos == n.bit_length():
+        return None
+    width = pos + 1
+    return format(n & ((1 << width) - 1), f"0{width}b")
 
 
 def is_dyck_number(n: int) -> bool:
@@ -125,12 +142,9 @@ def height_profile(d: int) -> list[int]:
     Raises NotDyckNumberError if the profile would go negative.
     """
     _require_dyck(d)
-    heights = []
-    level = 0
-    for bit in _reversed_bits(d) if d else "":
-        level += 1 if bit == "1" else -1
-        heights.append(level)
-    return heights
+    if d == 0:
+        return []
+    return list(accumulate(1 if bit == "1" else -1 for bit in _reversed_bits(d)))
 
 
 def _scan_valley_depth(d: int) -> int | None:
@@ -158,8 +172,6 @@ def valley_depth(d: int) -> int | None:
     expansion, hence no valley and a None depth.
     """
     _require_dyck(d)
-    if d == 0:
-        return None
     return _scan_valley_depth(d)
 
 
@@ -192,16 +204,11 @@ def successor(d: int) -> int:
 
 
 def _word_violation(word: str) -> str | None:
-    level = 0
-    for i, step in enumerate(word):
-        if step == UP:
-            level += 1
-        elif step == DOWN:
-            level -= 1
-            if level < 0:
-                return f"path dips below ground at step {i + 1}"
-        else:
-            return f"invalid step {step!r} at position {i} (expected U or D)"
+    pos, level = _walk(word, UP, DOWN)
+    if pos < len(word):
+        if word[pos] == DOWN:
+            return f"path dips below ground at step {pos + 1}"
+        return f"invalid step {word[pos]!r} at position {pos} (expected U or D)"
     if level != 0:
         return f"unbalanced: {level} more up steps than down steps"
     return None
@@ -248,6 +255,4 @@ def to_standard_code(d: int) -> int:
     within one semilength the map reverses order. to_standard_code(0) = 0.
     """
     _require_dyck(d)
-    if d == 0:
-        return 0
-    return int(to_dyck_word(d).translate(_STEPS_TO_STANDARD), 2)
+    return ((1 << 2 * d.bit_count()) - 1) ^ d

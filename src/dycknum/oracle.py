@@ -2,7 +2,7 @@
 
 Everything here recomputes from the defining suffix-balance rule with
 naive scans. None of it shares logic with the closed-form successor or
-the range skipping in the main modules; that independence is the whole
+the ranking in the main modules; that independence is the whole
 point, so keep it slow and obvious.
 """
 

@@ -176,33 +176,3 @@ def index_of(d: int) -> int:
             need += 1
     return ordinal
 
-
-class SequenceCursor:
-    """Walks the sequence keeping the term and its 1-based ordinal in step."""
-
-    __slots__ = ("current", "ordinal")
-
-    def __init__(self, start: int = 0):
-        core._require_dyck(start)
-        self.current = start
-        self.ordinal = index_of(start)
-
-    @classmethod
-    def from_index(cls, i: int) -> "SequenceCursor":
-        """Cursor positioned on the i-th term."""
-        cursor = cls.__new__(cls)
-        cursor.current = term_at(i)
-        cursor.ordinal = i
-        return cursor
-
-    def advance(self) -> int:
-        """Step to the next Dyck number and return it."""
-        self.current = core._successor_unchecked(self.current)
-        self.ordinal += 1
-        return self.current
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """Yield (ordinal, term) pairs from the current position, without end."""
-        while True:
-            yield self.ordinal, self.current
-            self.advance()

@@ -1,5 +1,7 @@
 """Tests for b-file parsing, emission, and diffing."""
 
+from itertools import islice
+
 import pytest
 
 from dycknum import bfile, sequence
@@ -85,11 +87,7 @@ class TestEmit:
 
 class TestCompare:
     def _head_bfile(self, count, offset=1):
-        cursor = sequence.SequenceCursor.from_index(offset)
-        values = []
-        for _ in range(count):
-            values.append(cursor.current)
-            cursor.advance()
+        values = islice(sequence.iter_from(sequence.term_at(offset)), count)
         return bfile.BFile(offset=offset, values=tuple(values))
 
     def test_match(self):

@@ -48,6 +48,13 @@ class TestSucc:
         assert err.startswith("error:")
         assert "suffix 001" in err
 
+    def test_huge_non_dyck_input_fails(self, capsys):
+        code, out, err = run(capsys, "succ", "0b1" + "0" * 20000 + "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert "suffix 001" in err
+        assert "Exceeds the limit" not in err
+
     def test_count_matches_library_stream(self, capsys):
         from itertools import islice
 
@@ -269,6 +276,10 @@ class TestDecimalDigitLimit:
         code, out, _ = run(capsys, "succ", ones, "--binary")
         assert code == 0
         assert int(out, 2) == core.mersenne_successor(len(ones) - 2)
+
+    def test_huge_non_dyck_input_is_named_by_bit_length(self, capsys):
+        _, _, err = run(capsys, "succ", "0b1" + "0" * 20000 + "1")
+        assert err.startswith("error: a 20002-bit number is not a Dyck number: suffix 001 ")
 
 
 class TestOracleSucc:

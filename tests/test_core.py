@@ -1,5 +1,7 @@
 """Unit tests for membership, structure, successor, and codecs."""
 
+import sys
+
 import pytest
 
 from dycknum import core
@@ -161,6 +163,26 @@ class TestSuccessor:
         assert exc_info.value.suffix == "001"
         assert exc_info.value.value == 9
         assert isinstance(exc_info.value, ValueError)
+
+    def test_huge_non_dyck_raises_dedicated_error(self):
+        n = (1 << 20001) | 1
+        with pytest.raises(core.NotDyckNumberError) as exc_info:
+            core.successor(n)
+        assert exc_info.value.suffix == "001"
+        assert exc_info.value.value == n
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+        reason="no limit on int <-> decimal text conversion",
+    )
+    def test_huge_non_dyck_is_named_by_bit_length(self):
+        # 20002 bits have more decimal digits than Python's default limit
+        with pytest.raises(core.NotDyckNumberError) as exc_info:
+            core.successor((1 << 20001) | 1)
+        assert exc_info.value.args[0] == (
+            "a 20002-bit number is not a Dyck number: suffix 001 of its "
+            "binary expansion has more 0s than 1s"
+        )
 
 
 class TestWordCodec:

@@ -5,7 +5,8 @@ The generators build valid inputs directly from the defining rules
 code with the implementations under test.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dycknum import core, oracle, sequence
 
@@ -127,6 +128,64 @@ def test_standard_code_is_bit_complement(d):
     # padding to 2n digits and swapping U/D roles complements every bit
     width = 2 * d.bit_count()
     assert core.to_standard_code(d) == (1 << width) - 1 - d
+    # the A014486 definition itself: U is 1, D is 0, read as binary
+    word = core.to_dyck_word(d)
+    assert core.to_standard_code(d) == int(word.translate(str.maketrans("UD", "10")) or "0", 2)
+
+
+def _naive_violating_suffix(n):
+    # shortest suffix with more 0s than 1s, trying every width in turn
+    bits = bin(n)[2:] if n else ""
+    for width in range(1, len(bits) + 1):
+        suffix = bits[-width:]
+        if suffix.count("0") > suffix.count("1"):
+            return suffix
+    return None
+
+
+@st.composite
+def near_dyck_numbers(draw):
+    """A Dyck number of up to 40 bits with one digit flipped, so it may dip late."""
+    d = draw(dyck_numbers(max_bits=40))
+    return d ^ 1 << draw(st.integers(0, max(d.bit_length() - 1, 0)))
+
+
+@given(st.one_of(st.integers(min_value=0, max_value=2**40), near_dyck_numbers()))
+@example(9)
+@example(1 << 33 | 0xFFFF)  # dips at its 33rd digit
+@example(2**40)
+def test_violating_suffix_is_the_shortest_unbalanced_suffix(n):
+    assert core.violating_suffix(n) == _naive_violating_suffix(n)
+
+
+def _naive_word_violation(word):
+    # left to right: the first invalid step or dip wins, then the balance
+    level = 0
+    for i, step in enumerate(word):
+        if step not in ("U", "D"):
+            return f"invalid step {step!r} at position {i} (expected U or D)"
+        level += 1 if step == "U" else -1
+        if level < 0:
+            return f"path dips below ground at step {i + 1}"
+    if level != 0:
+        return f"unbalanced: {level} more up steps than down steps"
+    return None
+
+
+@given(st.text(alphabet="UDX", max_size=30))
+@example("DX")
+@example("UXD")
+@example("UUDUDD")
+def test_word_check_matches_naive_scan(word):
+    reason = _naive_word_violation(word)
+    assert core.is_dyck_word(word) == (reason is None)
+    if reason is None:
+        assert core.to_dyck_word(core.from_dyck_word(word)) == word
+        return
+    with pytest.raises(core.NotDyckWordError) as exc_info:
+        core.from_dyck_word(word)
+    assert exc_info.value.reason == reason
+    assert str(exc_info.value) == f"{word!r} is not a Dyck word: {reason}"
 
 
 def test_standard_code_reverses_order_within_semilength():

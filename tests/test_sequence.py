@@ -186,26 +186,3 @@ class TestExactRanking:
         expected = 1 + sum(sequence.central_binomial(j) for j in range(200))
         assert sequence.index_of(core.mersenne(200)) == expected
 
-
-class TestSequenceCursor:
-    def test_starts_at_zero(self):
-        cursor = sequence.SequenceCursor()
-        assert (cursor.ordinal, cursor.current) == (1, 0)
-
-    def test_knows_its_ordinal(self):
-        cursor = sequence.SequenceCursor(31)
-        assert cursor.ordinal == 14
-
-    def test_from_index(self):
-        cursor = sequence.SequenceCursor.from_index(14)
-        assert cursor.current == 31
-        assert cursor.advance() == 39
-        assert (cursor.ordinal, cursor.current) == (15, 39)
-
-    def test_pairs(self):
-        cursor = sequence.SequenceCursor()
-        assert list(islice(cursor.pairs(), 4)) == [(1, 0), (2, 1), (3, 3), (4, 5)]
-
-    def test_rejects_non_dyck_start(self):
-        with pytest.raises(core.NotDyckNumberError):
-            sequence.SequenceCursor(6)
