@@ -13,18 +13,28 @@ Height profiles returned by this module are indexed the same way
 (entry 0 belongs to the least significant digit); reverse them when you
 want the left-to-right picture of the path.
 
+Membership, the successor's valley search and the step-word check all read
+that path from the low end a byte per step: 256-entry tables built at
+import give each byte's net height change, its lowest height and its
+deepest valley, so only a byte in which the path dips below ground is
+walked digit by digit.
+
 All functions are pure and operate on plain ``int`` values of any size.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from math import inf
 
 UP = "U"
 DOWN = "D"
 
 _BITS_TO_STEPS = str.maketrans("01", UP + DOWN)
 _STEPS_TO_BITS = str.maketrans(UP + DOWN, "01")
+_WORD_TO_WALK = bytes(
+    ord("1") if c == ord(UP) else ord("0") if c == ord(DOWN) else ord("x") for c in range(256)
+)
 
 
 class NotDyckNumberError(ValueError):
@@ -53,39 +63,84 @@ class NotDyckWordError(ValueError):
         super().__init__(f"{word!r} is not a Dyck word: {reason}")
 
 
-def _reversed_bits(n: int) -> str:
-    # binary digits of n from least to most significant
-    return bin(n)[:1:-1]
+# The path is read from the low end one byte at a time, low bit first
+# (1 = up, 0 = down), through three 256-entry tables per byte value: the
+# net height change, the lowest height after any of its eight steps, and,
+# for each value of the bit below the byte, the lowest height just below a
+# 0->1 ascent (inf when there is none). Heights are relative to the start
+# of the byte. These are the block excess and min-excess tables of range
+# min-max trees (Navarro & Sadakane, ACM TALG 2014).
 
 
-def _walk(steps: str, up: str, down: str) -> tuple[int, int]:
-    # walk from the ground until a step is neither up nor down, or is a
-    # down at height 0; return where it stopped (len(steps) if it never
-    # did) and the height reached there
+def _byte_tables() -> tuple[list[int], list[int], tuple[list[float], list[float]]]:
+    # count the 16 nibbles step by step; a 0 below a nibble adds the
+    # ascent at its bit 0, at height 0
+    net4, low4, valley4 = [], [], ([], [])
+    for nib in range(16):
+        level, lowest, deepest = 0, 4, inf
+        for j in range(4):
+            if nib >> j & 1:
+                if j and not nib >> j - 1 & 1:
+                    deepest = min(deepest, level)
+                level += 1
+            else:
+                level -= 1
+            lowest = min(lowest, level)
+        net4.append(level)
+        low4.append(lowest)
+        valley4[0].append(min(deepest, 0) if nib & 1 else deepest)
+        valley4[1].append(deepest)
+    # byte lo | hi << 4: nibble hi starts at lo's net height, above lo's top bit
+    net, low, valley = [], [], ([], [])
+    for b in range(256):
+        lo, hi = b & 15, b >> 4
+        rise = net4[lo]
+        net.append(rise + net4[hi])
+        low.append(min(low4[lo], rise + low4[hi]))
+        hi_valley = rise + valley4[lo >> 3][hi]
+        valley[0].append(min(valley4[0][lo], hi_valley))
+        valley[1].append(min(valley4[1][lo], hi_valley))
+    return net, low, valley
+
+
+_NET, _LOW, _VALLEY = _byte_tables()
+
+
+def _path_bytes(n: int, width: int) -> bytes:
+    # length and byteorder both given, positionally: Python 3.10 has no
+    # defaults for them, and only the CI's 3.10 leg would catch an omission
+    return n.to_bytes((width + 7) // 8, "little")
+
+
+def _dip(n: int, width: int) -> int | None:
+    # first bit position, counted from the low end of the width-bit walk n,
+    # at which the height goes below 0; None if it never does
     level = 0
-    for pos, step in enumerate(steps):
-        if step == up:
-            level += 1
-        elif step == down and level:
-            level -= 1
-        else:
-            return pos, level
-    return len(steps), level
+    for i, b in enumerate(_path_bytes(n, width)):
+        if level + _LOW[b] < 0:
+            pos = 8 * i
+            while b & 1 or level:
+                level += 1 if b & 1 else -1
+                b >>= 1
+                pos += 1
+            # past width the dip comes from the zero padding of the top byte
+            return pos if pos < width else None
+        level += _NET[b]
+    return None
 
 
 def violating_suffix(n: int) -> str | None:
     """Shortest suffix of n's binary expansion with more 0s than 1s.
 
     Returns the suffix as a left-to-right digit string, or None when n is
-    a Dyck number. Scans once from the low end, so the first position at
-    which the running 1s-minus-0s balance dips below zero ends the search.
+    a Dyck number. Scans from the low end a byte at a time, so the byte in
+    which the running 1s-minus-0s balance first dips below zero ends the
+    search.
     """
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
-    if n == 0:
-        return None
-    pos, _ = _walk(_reversed_bits(n), "1", "0")
-    if pos == n.bit_length():
+    pos = _dip(n, n.bit_length())
+    if pos is None:
         return None
     width = pos + 1
     return format(n & ((1 << width) - 1), f"0{width}b")
@@ -144,23 +199,22 @@ def height_profile(d: int) -> list[int]:
     _require_dyck(d)
     if d == 0:
         return []
-    return list(accumulate(1 if bit == "1" else -1 for bit in _reversed_bits(d)))
+    return list(accumulate(1 if bit == "1" else -1 for bit in bin(d)[:1:-1]))
 
 
 def _scan_valley_depth(d: int) -> int | None:
-    # minimum height immediately below each 0->1 ascent, scanning LSB first
-    depth = None
+    # minimum height immediately below each 0->1 ascent, scanning LSB first;
+    # the zero padding of the top byte holds no ascent
+    depth = inf
     level = 0
-    prev_bit = "1"
-    for bit in _reversed_bits(d):
-        if bit == "1":
-            if prev_bit == "0" and (depth is None or level < depth):
-                depth = level
-            level += 1
-        else:
-            level -= 1
-        prev_bit = bit
-    return depth
+    incoming = 1
+    for b in _path_bytes(d, d.bit_length()):
+        below = level + _VALLEY[incoming][b]
+        if below < depth:
+            depth = below
+        level += _NET[b]
+        incoming = b >> 7
+    return None if depth == inf else depth
 
 
 def valley_depth(d: int) -> int | None:
@@ -196,19 +250,31 @@ def successor(d: int) -> int:
     """Smallest Dyck number strictly greater than d, in closed form.
 
     Only the trailing 1-run length and the deepest valley of d are
-    consulted, so the cost is one pass over the binary expansion; no
-    candidates are scanned. Raises NotDyckNumberError on non-Dyck input.
+    consulted; no candidates are scanned. Validation and the valley search
+    each read the binary expansion a byte per step through precomputed
+    tables, so the cost is linear in the bit length with a small constant.
+    Raises NotDyckNumberError on non-Dyck input.
     """
     _require_dyck(d)
     return _successor_unchecked(d)
 
 
 def _word_violation(word: str) -> str | None:
-    pos, level = _walk(word, UP, DOWN)
-    if pos < len(word):
-        if word[pos] == DOWN:
-            return f"path dips below ground at step {pos + 1}"
-        return f"invalid step {word[pos]!r} at position {pos} (expected U or D)"
+    # one digit per character: U -> 1, D -> 0, anything else -> x (a
+    # non-ASCII character encodes to a single "?"); the walk is the digits
+    # before the first x, reversed so that the first step is its low bit,
+    # and a dip in it comes before the invalid step that ends it
+    digits = word.encode("ascii", "replace").translate(_WORD_TO_WALK)
+    steps = digits.find(b"x")
+    if steps < 0:
+        steps = len(digits)
+    walk = int(digits[:steps][::-1] or b"0", 2)
+    pos = _dip(walk, steps)
+    if pos is not None:
+        return f"path dips below ground at step {pos + 1}"
+    if steps < len(word):
+        return f"invalid step {word[steps]!r} at position {steps} (expected U or D)"
+    level = 2 * walk.bit_count() - steps
     if level != 0:
         return f"unbalanced: {level} more up steps than down steps"
     return None

@@ -240,3 +240,28 @@ class TestStandardCode:
     def test_rejects_non_dyck(self):
         with pytest.raises(core.NotDyckNumberError):
             core.to_standard_code(4)
+
+
+class TestByteTables:
+    """The path scanner's per-byte tables against a per-bit recount."""
+
+    @staticmethod
+    def recount(b, incoming):
+        # low bit first, 1 up and 0 down, heights from the byte's start
+        level, lowest, valley, below = 0, None, None, incoming
+        for j in range(8):
+            bit = b >> j & 1
+            if bit and not below and (valley is None or level < valley):
+                valley = level
+            level += 1 if bit else -1
+            lowest = level if lowest is None else min(lowest, level)
+            below = bit
+        return level, lowest, valley
+
+    @pytest.mark.parametrize("incoming", [0, 1])
+    def test_every_entry(self, incoming):
+        for b in range(256):
+            net, lowest, valley = self.recount(b, incoming)
+            assert core._NET[b] == net, b
+            assert core._LOW[b] == lowest, b
+            assert core._VALLEY[incoming][b] == (float("inf") if valley is None else valley), b

@@ -12,19 +12,34 @@ from dycknum import core, oracle, sequence
 
 
 @st.composite
+def walk_bits(draw, length, level=0, balanced=False):
+    """Digits, low first, of a walk from level that never goes below 0.
+
+    Returns the walk as an int and the level it ends at; a balanced walk
+    ends at 0.
+    """
+    value = 0
+    for pos in range(length):
+        if level == 0:
+            # on the ground only a 1-digit keeps the suffixes valid
+            bit = 1
+        elif balanced and level == length - pos:
+            bit = 0
+        else:
+            bit = draw(st.integers(0, 1))
+        value |= bit << pos
+        level += 1 if bit else -1
+    return value, level
+
+
+@st.composite
 def dyck_numbers(draw, max_bits=64):
     """A Dyck number built bit by bit, least significant end first."""
     length = draw(st.integers(min_value=0, max_value=max_bits))
     if length == 0:
         return 0
-    value = 0
-    balance = 0
-    for pos in range(length - 1):
-        # at balance zero only a 1-digit keeps the suffixes valid
-        bit = 1 if balance == 0 else draw(st.integers(0, 1))
-        value |= bit << pos
-        balance += 1 if bit else -1
-    return value | 1 << (length - 1)
+    below, _ = draw(walk_bits(length - 1))
+    return below | 1 << (length - 1)
 
 
 @st.composite
@@ -158,6 +173,107 @@ def test_violating_suffix_is_the_shortest_unbalanced_suffix(n):
     assert core.violating_suffix(n) == _naive_violating_suffix(n)
 
 
+# The scanner reads 8 digits per step, so dips and valleys next to a byte
+# boundary or in the zero-padded top byte get inputs of their own.
+BYTE_EDGES = [0, 2, 6, 8, 10, 14, 16, 18, 22, 24]
+
+
+def _heights(n):
+    # running 1s-minus-0s count over n's digits, low digit first
+    level, heights = 0, []
+    for bit in bin(n)[:1:-1] if n else "":
+        level += 1 if bit == "1" else -1
+        heights.append(level)
+    return heights
+
+
+def _naive_valley_depth(d):
+    heights = _heights(d)
+    depths = [
+        heights[p - 1]
+        for p in range(1, d.bit_length())
+        if d >> p & 1 and not d >> (p - 1) & 1
+    ]
+    return min(depths, default=None)
+
+
+def _naive_successor(d):
+    # the next member first exceeds d at a 0-digit p (a new top digit at
+    # worst): keep d above p, set p, and take the fewest 1s below p, packed
+    # at the bottom, that make a member; the lowest such p wins
+    for p in range(d.bit_length() + 1):
+        if d >> p & 1:
+            continue
+        high = (d >> p | 1) << p
+        for ones in range(p + 1):
+            candidate = high | (1 << ones) - 1
+            if _naive_violating_suffix(candidate) is None:
+                return candidate
+
+
+@st.composite
+def planted_dips(draw):
+    """A balanced walk of even length q, then a 0 at q, then any digits.
+
+    The walk dips first at digit q. Without digits above it that 0 is not
+    part of the number, which is then a member, and the zero padding of a
+    partial top byte must not count as a dip.
+    """
+    q = draw(st.one_of(st.sampled_from(BYTE_EDGES), st.integers(0, 149).map(lambda h: 2 * h)))
+    low, _ = draw(walk_bits(q, balanced=True))
+    high = draw(st.one_of(st.just(0), st.integers(0, 2 ** (299 - q))))
+    return high << (q + 1) | low
+
+
+@st.composite
+def planted_valleys(draw):
+    """A member with a 0 at digit p - 1 and a 1 at digit p, p even.
+
+    The p - 1 digits below have odd length, so they end at height >= 1 and
+    the 0 keeps the walk on the ground. p = 8 and 16 straddle a byte
+    boundary; without digits above, the ascent is the member's top digit.
+    """
+    p = draw(st.one_of(st.sampled_from(BYTE_EDGES[1:]), st.integers(1, 140).map(lambda h: 2 * h)))
+    low, level = draw(walk_bits(p - 1))
+    above = draw(st.integers(0, 290 - p))
+    high, _ = draw(walk_bits(above, level=level))
+    top = 1 << above if above else 0
+    return (top | high) << (p + 1) | 1 << p | low
+
+
+@given(planted_dips())
+@example(0b1001_0101)  # dips at digit 6 of a full byte
+@example(0b1_1001_0101)  # the same with a digit above the byte
+@example(0b10_0101_0011)  # a balanced low byte, then a dip at digit 8
+@example(0b1)  # seven padding zeros would dip after the top 1
+@example(0b1_0101)  # ends at height 1; three padding zeros
+@example(0b1_0101_0101)  # bit length 9: seven padding zeros above height 1
+def test_violating_suffix_at_byte_edges(n):
+    assert core.violating_suffix(n) == _naive_violating_suffix(n)
+    assert core.is_dyck_number(n) == (_naive_violating_suffix(n) is None)
+
+
+@given(st.integers(1, 40).filter(lambda length: length % 8))
+def test_members_ending_low_in_a_partial_top_byte(length):
+    # the lowest-ending member of each length: 1 or 11, then 01 repeated
+    d = int(("1" if length % 2 else "11") + "01" * ((length - 1) // 2), 2)
+    assert d.bit_length() == length
+    assert core.violating_suffix(d) is None
+    assert core.valley_depth(d) == _naive_valley_depth(d)
+    assert core.successor(d) == _naive_successor(d)
+
+
+@given(st.one_of(planted_valleys(), dyck_numbers(max_bits=300)))
+@example(0b1_0111_1111)  # bit 7 = 0, bit 8 = 1: a valley at height 6 across the boundary
+@example(0b1_0010_1011)  # the same at height 0, below the valleys at bits 3 and 5
+@example(0b1_0111_1111_1111_1111)  # across the second boundary, into the top byte
+@settings(deadline=None)
+def test_valley_and_successor_at_byte_edges(d):
+    assert core.violating_suffix(d) is None
+    assert core.valley_depth(d) == _naive_valley_depth(d)
+    assert core.successor(d) == _naive_successor(d)
+
+
 def _naive_word_violation(word):
     # left to right: the first invalid step or dip wins, then the balance
     level = 0
@@ -172,10 +288,19 @@ def _naive_word_violation(word):
     return None
 
 
-@given(st.text(alphabet="UDX", max_size=30))
+@given(st.text(alphabet="UDX", max_size=70))
 @example("DX")
 @example("UXD")
 @example("UUDUDD")
+@example("UUUUUDDDDD")  # ends in D steps, the walk's high zeros
+@example("U" * 9 + "D" * 9)  # 18 steps: a balanced walk in a partial top byte
+@example("U" * 9 + "D" * 10)  # dips at its last step, in the top byte
+@example("UD" * 4 + "DU")  # dips at step 9, the first of the second byte
+@example("UUDD" * 4 + "X")  # invalid step just past two whole bytes
+@example("UUDDDX")  # a dip beats a later invalid step
+@example("UU\u00e9DD")  # a non-ASCII character is an invalid step at its own position
+@example("U\U0001f600D")  # one outside the Basic Multilingual Plane
+@example("U\ud800D")  # a lone surrogate, which UTF-8 cannot encode
 def test_word_check_matches_naive_scan(word):
     reason = _naive_word_violation(word)
     assert core.is_dyck_word(word) == (reason is None)
