@@ -133,6 +133,13 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         if args.count is not None or args.offset is not None:
             args.parser.error("--check cannot be combined with --count/--offset")
         reference = bfile.parse_bfile(Path(args.check).read_text())
+        if not reference.values:
+            # a check that compared nothing must not pass
+            print(
+                f"error: {args.check} has no data lines to check against",
+                file=sys.stderr,
+            )
+            return 1
         terms = sequence.iter_from(sequence.term_at(reference.offset))
         values = tuple(islice(terms, len(reference)))
         report = bfile.compare(bfile.BFile(reference.offset, values), reference)

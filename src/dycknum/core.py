@@ -13,11 +13,12 @@ Height profiles returned by this module are indexed the same way
 (entry 0 belongs to the least significant digit); reverse them when you
 want the left-to-right picture of the path.
 
-Membership, the successor's valley search and the step-word check all read
-that path from the low end a byte per step: 256-entry tables built at
-import give each byte's net height change, its lowest height and its
-deepest valley, so only a byte in which the path dips below ground is
-walked digit by digit.
+Membership, the step-word check, the successor and the valley depth all
+read that path from the low end a byte per step: two 256-entry tables
+built at import give each byte's net height change and its lowest height.
+Membership stops at the first byte in which the path dips below ground
+and walks only that byte digit by digit; the successor and the valley
+depth need just the lowest point of a path.
 
 All functions are pure and operate on plain ``int`` values of any size.
 """
@@ -25,7 +26,6 @@ All functions are pure and operate on plain ``int`` values of any size.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import inf
 
 UP = "U"
 DOWN = "D"
@@ -64,59 +64,37 @@ class NotDyckWordError(ValueError):
 
 
 # The path is read from the low end one byte at a time, low bit first
-# (1 = up, 0 = down), through three 256-entry tables per byte value: the
-# net height change, the lowest height after any of its eight steps, and,
-# for each value of the bit below the byte, the lowest height just below a
-# 0->1 ascent (inf when there is none). Heights are relative to the start
-# of the byte. These are the block excess and min-excess tables of range
-# min-max trees (Navarro & Sadakane, ACM TALG 2014).
+# (1 = up, 0 = down), through two 256-entry tables per byte value: the net
+# height change and the lowest height after any of its eight steps, both
+# relative to the start of the byte. These are the block excess and
+# min-excess tables of range min-max trees (Navarro & Sadakane, ACM TALG
+# 2014).
 
 
-def _byte_tables() -> tuple[list[int], list[int], tuple[list[float], list[float]]]:
-    # count the 16 nibbles step by step; a 0 below a nibble adds the
-    # ascent at its bit 0, at height 0
-    net4, low4, valley4 = [], [], ([], [])
-    for nib in range(16):
-        level, lowest, deepest = 0, 4, inf
-        for j in range(4):
-            if nib >> j & 1:
-                if j and not nib >> j - 1 & 1:
-                    deepest = min(deepest, level)
-                level += 1
-            else:
-                level -= 1
-            lowest = min(lowest, level)
-        net4.append(level)
-        low4.append(lowest)
-        valley4[0].append(min(deepest, 0) if nib & 1 else deepest)
-        valley4[1].append(deepest)
-    # byte lo | hi << 4: nibble hi starts at lo's net height, above lo's top bit
-    net, low, valley = [], [], ([], [])
-    for b in range(256):
-        lo, hi = b & 15, b >> 4
-        rise = net4[lo]
-        net.append(rise + net4[hi])
-        low.append(min(low4[lo], rise + low4[hi]))
-        hi_valley = rise + valley4[lo >> 3][hi]
-        valley[0].append(min(valley4[0][lo], hi_valley))
-        valley[1].append(min(valley4[1][lo], hi_valley))
-    return net, low, valley
+def _byte_tables() -> tuple[list[int], list[int]]:
+    # a 1-digit block is one step down or up; a block of twice the digits is
+    # its low half followed by its high half, which starts at the low half's
+    # net height
+    net, low = [-1, 1], [-1, 1]
+    for bits in (1, 2, 4):
+        values = range(1 << bits)
+        net, low = (
+            [net[lo] + net[hi] for hi in values for lo in values],
+            [min(low[lo], net[lo] + low[hi]) for hi in values for lo in values],
+        )
+    return net, low
 
 
-_NET, _LOW, _VALLEY = _byte_tables()
-
-
-def _path_bytes(n: int, width: int) -> bytes:
-    # length and byteorder both given, positionally: Python 3.10 has no
-    # defaults for them, and only the CI's 3.10 leg would catch an omission
-    return n.to_bytes((width + 7) // 8, "little")
+_NET, _LOW = _byte_tables()
 
 
 def _dip(n: int, width: int) -> int | None:
     # first bit position, counted from the low end of the width-bit walk n,
     # at which the height goes below 0; None if it never does
     level = 0
-    for i, b in enumerate(_path_bytes(n, width)):
+    # length and byteorder both given, positionally: Python 3.10 has no
+    # defaults for them, and only the CI's 3.10 leg would catch an omission
+    for i, b in enumerate(n.to_bytes((width + 7) // 8, "little")):
         if level + _LOW[b] < 0:
             pos = 8 * i
             while b & 1 or level:
@@ -127,6 +105,19 @@ def _dip(n: int, width: int) -> int | None:
             return pos if pos < width else None
         level += _NET[b]
     return None
+
+
+def _lowest(n: int) -> int:
+    # lowest height of the walk n, its start included; the top byte is
+    # padded with up steps, since down steps there could reach below the
+    # walk's own minimum
+    width = n.bit_length()
+    level = lowest = 0
+    for b in (n | 255 << width).to_bytes((width + 15) // 8, "little"):
+        if level + _LOW[b] < lowest:
+            lowest = level + _LOW[b]
+        level += _NET[b]
+    return lowest
 
 
 def violating_suffix(n: int) -> str | None:
@@ -202,58 +193,44 @@ def height_profile(d: int) -> list[int]:
     return list(accumulate(1 if bit == "1" else -1 for bit in bin(d)[:1:-1]))
 
 
-def _scan_valley_depth(d: int) -> int | None:
-    # minimum height immediately below each 0->1 ascent, scanning LSB first;
-    # the zero padding of the top byte holds no ascent
-    depth = inf
-    level = 0
-    incoming = 1
-    for b in _path_bytes(d, d.bit_length()):
-        below = level + _VALLEY[incoming][b]
-        if below < depth:
-            depth = below
-        level += _NET[b]
-        incoming = b >> 7
-    return None if depth == inf else depth
-
-
 def valley_depth(d: int) -> int | None:
     """Depth of the deepest valley of d's path, or None if there is none.
 
     A valley sits wherever a 1-digit immediately follows a 0-digit going
     up from the least significant end; its depth is the height just
     before that ascent. Mersenne numbers and 0 have no 0-digit inside the
-    expansion, hence no valley and a None depth.
+    expansion, hence no valley and a None depth. Above the trailing 1-run
+    every step either climbs out of a valley or descends into one, so the
+    deepest valley is the lowest point of the path there, found a byte
+    per step.
     """
     _require_dyck(d)
-    return _scan_valley_depth(d)
+    rep = repunit_suffix_len(d)
+    if rep == d.bit_length():
+        return None
+    return rep + _lowest(d >> rep)
 
 
 def _successor_unchecked(d: int) -> int:
-    rep = repunit_suffix_len(d)
-    if rep == 0:
-        return 1
-    if rep == d.bit_length():
-        # pure repunit, i.e. a Mersenne number
-        return d + (1 << ((rep + 1) // 2))
-    if rep <= 2:
-        return d + 2
-    depth = _scan_valley_depth(d)
-    if depth > rep - 2:
-        # swapping the lowest 0 with the top of the trailing 1-run creates
-        # a valley of height rep - 2; deeper prior valleys keep priority
-        depth = rep - 2
-    return d + (1 << (rep - 1 - depth // 2))
+    if d & 7 != 7:
+        # a trailing 1-run of at most two digits, or d = 0
+        return d + 2 if d else 1
+    return d + (1 << -(_lowest(d + 1) // 2))
 
 
 def successor(d: int) -> int:
     """Smallest Dyck number strictly greater than d, in closed form.
 
-    Only the trailing 1-run length and the deepest valley of d are
-    consulted; no candidates are scanned. Validation and the valley search
-    each read the binary expansion a byte per step through precomputed
-    tables, so the cost is linear in the bit length with a small constant.
-    Raises NotDyckNumberError on non-Dyck input.
+    Adding 1 turns d's trailing 1-run into down steps, so the path of
+    d + 1 dips to some lowest height L < 0. Setting a low digit of d + 1
+    from 0 to 1 lifts every later height by 2, and the fewest such digits
+    are the lowest ones, so the successor is d + 2**ceil(-L/2). For the
+    Mersenne number 2**k - 1, L = -k; a trailing 1-run of at most two
+    digits gives d + 2, and 0 gives 1. No candidates are scanned:
+    validation and the lowest-point search each read the binary expansion
+    a byte per step through precomputed tables, so the cost is linear in
+    the bit length with a small constant. Raises NotDyckNumberError on
+    non-Dyck input.
     """
     _require_dyck(d)
     return _successor_unchecked(d)

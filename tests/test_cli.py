@@ -210,6 +210,13 @@ class TestBFileCommand:
         assert code == 1
         assert "index gap" in err
 
+    def test_check_refuses_file_without_data_lines(self, capsys, tmp_path):
+        path = tmp_path / "comments.txt"
+        path.write_text("# A036991\n\n# no terms\n")
+        code, out, err = run(capsys, "bfile", "--check", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} has no data lines to check against\n"
+
 
 class TestBFileAtHugeOffset:
     OFFSET = 10**18
