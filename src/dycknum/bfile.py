@@ -4,11 +4,19 @@ A b-file lists one "index value" pair per line, indices consecutive,
 with '#' comment lines and blank lines ignored. Output always uses \\n
 line endings and ends with a newline; input accepts \\r\\n too. There is
 no network code here: reference files are supplied locally.
+
+Text in the form emit_bfile writes, after any leading comment lines, is
+parsed in bulk, a chunk of lines at a time; any other text goes to a
+line-by-line loop, which gives the same result and names the line of
+any error. emit_bfile renders all lines with one format operation, and
+compare tests equal spans with one tuple comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import eq, ne
 from typing import Iterable, Iterator
 
 MATCH = "match"
@@ -52,7 +60,66 @@ def parse_bfile(text: str | Iterable[str]) -> BFile:
     not an "index value" pair of integers or breaks index consecutiveness.
     An input with no data lines parses as an empty BFile at offset 1.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
+    if isinstance(text, str):
+        parsed = _parse_canonical(text)
+        if parsed is not None:
+            return parsed
+        text = text.splitlines()
+    return _parse_lines(text)
+
+
+# Bulk parsing reads the data lines in chunks of about this many
+# characters, cut after a newline, so that the bytes copy and the token
+# list of one chunk stay small beside the parsed values.
+_CHUNK = 1 << 16
+_DIGITS = b"0123456789"
+
+
+def _parse_canonical(text: str) -> BFile | None:
+    # The BFile of a text made of leading '#' lines and then nothing but
+    # "index value\n" lines in ASCII digits with consecutive indices, which
+    # is what emit_bfile writes; None for any other text, which the line
+    # loop then parses or refuses with its line number.
+    pos = 0
+    while text.startswith("#", pos):
+        pos = text.find("\n", pos) + 1
+        if not pos:
+            return None
+    # the line loop splits at every line boundary that str.splitlines knows
+    if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
+        return None
+    values: list[int] = []
+    offset = index = None
+    while pos < len(text):
+        end = text.rfind("\n", pos, pos + _CHUNK) + 1 or text.find("\n", pos + _CHUNK) + 1
+        if not end:
+            return None
+        try:
+            raw = text[pos:end].encode("ascii")
+            lines = raw.count(b"\n")
+            tokens = raw.split()
+            # deleting the digits leaves one space and one newline per line,
+            # and two tokens per line rule out an empty token beside a space
+            if raw.translate(None, _DIGITS) != b" \n" * lines or len(tokens) != 2 * lines:
+                return None
+            if index is None:
+                offset = index = int(tokens[0])
+            if not all(map(eq, map(int, tokens[::2]), range(index, index + lines))):
+                return None
+            values.extend(map(int, tokens[1::2]))
+        except ValueError:
+            # a character outside ASCII, or more digits than Python's limit
+            # on decimal text conversion
+            return None
+        index += lines
+        pos = end
+    if offset is None:
+        return None
+    return BFile(offset=offset, values=tuple(values))
+
+
+def _parse_lines(lines: Iterable[str]) -> BFile:
+    # one line at a time, for any input; the reference for the bulk path
     offset = 1
     values: list[int] = []
     next_index = None
@@ -91,7 +158,12 @@ def emit_bfile(terms: Iterable[int], offset: int = 1) -> str:
     each line newline-terminated. Deterministic: equal inputs give
     byte-identical output. An empty sequence yields the empty string.
     """
-    return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=offset))
+    values = tuple(terms)
+    size = len(values)
+    fields = [0] * (2 * size)
+    fields[::2] = range(offset, offset + size)
+    fields[1::2] = values
+    return ("%d %d\n" * size) % tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -111,15 +183,13 @@ def compare(generated: BFile, reference: BFile) -> DiffReport:
     values agree but the spans differ in offset or length, including the
     case of no overlap at all, the verdict is LENGTH_DIFFERS.
     """
+    if generated.offset == reference.offset and generated.values == reference.values:
+        return DiffReport(MATCH, len(reference))
     lo = max(generated.offset, reference.offset)
-    hi = min(generated.end, reference.end)
-    compared = 0
-    for index in range(lo, hi):
-        compared += 1
-        actual = generated.values[index - generated.offset]
-        expected = reference.values[index - reference.offset]
-        if actual != expected:
-            return DiffReport(MISMATCH, compared, (index, expected, actual))
-    if generated.offset != reference.offset or generated.end != reference.end:
-        return DiffReport(LENGTH_DIFFERS, compared)
-    return DiffReport(MATCH, compared)
+    hi = max(lo, min(generated.end, reference.end))
+    actual = generated.values[lo - generated.offset : hi - generated.offset]
+    expected = reference.values[lo - reference.offset : hi - reference.offset]
+    if actual != expected:
+        i = next(compress(count(), map(ne, actual, expected)))
+        return DiffReport(MISMATCH, i + 1, (lo + i, expected[i], actual[i]))
+    return DiffReport(LENGTH_DIFFERS, hi - lo)

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 from itertools import islice
-from pathlib import Path
 
 from . import __version__, bfile, core, oracle, sequence
 
@@ -132,7 +131,9 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     if args.check is not None:
         if args.count is not None or args.offset is not None:
             args.parser.error("--check cannot be combined with --count/--offset")
-        reference = bfile.parse_bfile(Path(args.check).read_text())
+        # b-files are UTF-8 whatever the locale; comments may hold any text
+        with open(args.check, encoding="utf-8") as f:
+            reference = bfile.parse_bfile(f.read())
         if not reference.values:
             # a check that compared nothing must not pass
             print(
@@ -146,11 +147,10 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         if report.verdict == bfile.MATCH:
             print(f"match: {report.compared_count} terms agree")
             return 0
-        if report.verdict == bfile.MISMATCH:
-            index, expected, actual = report.first_mismatch
-            print(f"mismatch at index {index}: expected {expected}, got {actual}")
-        else:
-            print("span differs between generated and reference data")
+        # the generated span is the reference's, so the verdict is never
+        # LENGTH_DIFFERS
+        index, expected, actual = report.first_mismatch
+        print(f"mismatch at index {index}: expected {expected}, got {actual}")
         return 1
     count = 20 if args.count is None else args.count
     offset = 1 if args.offset is None else args.offset

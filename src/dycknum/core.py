@@ -37,17 +37,22 @@ _WORD_TO_WALK = bytes(
 )
 
 
+# Refusals name a value in decimal only up to this many bits. Past it the
+# conversion, quadratic in the length, would cost more than the scan that
+# found the dip, so the value is named by its bit length. 1024 bits is
+# 309 decimal digits, below the least limit (640) that Python lets a
+# program set on int -> decimal conversion, so the conversion cannot fail.
+_DECIMAL_BITS = 1024
+
+
 class NotDyckNumberError(ValueError):
     """Input fails the suffix-balance rule, so it encodes no Dyck path."""
 
     def __init__(self, value: int, suffix: str):
         self.value = value
         self.suffix = suffix
-        try:
-            shown = str(value)
-        except ValueError:
-            # past the interpreter's limit on int -> decimal conversion
-            shown = f"a {value.bit_length()}-bit number"
+        width = value.bit_length()
+        shown = str(value) if width <= _DECIMAL_BITS else f"a {width}-bit number"
         super().__init__(
             f"{shown} is not a Dyck number: suffix {suffix} of its binary "
             f"expansion has more 0s than 1s"
@@ -211,7 +216,12 @@ def valley_depth(d: int) -> int | None:
     return rep + _lowest(d >> rep)
 
 
-def _successor_unchecked(d: int) -> int:
+def _successor_unchecked(d: int, floor: int = 0) -> int:
+    # the least n > d whose walk has its lowest point >= -floor, for such a
+    # d; floor 0 gives the Dyck successor, and a walk may end at any height
+    if floor:
+        low = _lowest(d + 1) + floor
+        return d + 1 if low >= 0 else d + (1 << -(low // 2))
     if d & 7 != 7:
         # a trailing 1-run of at most two digits, or d = 0
         return d + 2 if d else 1

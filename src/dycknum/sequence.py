@@ -9,8 +9,16 @@ C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
 
 term_at and index_of rank and unrank exactly by counting those walks
 with ballot numbers, so an ordinal costs O(k) binomial coefficients and
-no successor steps. range_stats and verify_conjecture count each range
-by walking the successor instead, independently of those counts.
+no successor steps.
+
+iter_from and iter_range enumerate in blocks: a term of 14 or more
+digits is a high part followed by a 12-digit low block, and each valid
+high part is followed by every low block whose walk ends high enough to
+carry it, taken in order from a table. The tables (4,096 entries) are
+built on the first enumeration that reaches 2**13, not at import; terms
+below 2**13 come from the plain successor walk. range_stats and
+verify_conjecture count each range by this enumeration, which stops at
+the range's last term by value, independently of the ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -18,9 +26,12 @@ A036991 b-file (term 13496 is 65535).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import core
 
@@ -30,28 +41,83 @@ def central_binomial(m: int) -> int:
     return comb(m, m // 2)
 
 
+# Block enumeration. A term of more than _B + 1 digits is high << _B | w,
+# where the low block w is _B digits read as a walk from the low end that
+# never goes below 0 and ends at some height e. The term is a Dyck number
+# exactly when the walk of high, which starts at e, stays on or above
+# ground, that is when e >= need = -_lowest(high). So each valid high part
+# contributes the block walks ending at height >= need, in ascending order,
+# and the valid high parts are the walks whose lowest point is >= -_B, which
+# core._successor_unchecked steps with floor _B. The per-height tables are
+# the block min-excess idea of range min-max trees (Navarro & Sadakane, ACM
+# TALG 2014) applied to generation in order, as in Knuth's Algorithm P
+# (TAOCP 4A, 7.2.1.6).
+_B = 12
+_BLOCKED = 1 << (_B + 1)  # terms below this come from the plain walk
+
+
+@cache
+def _tails() -> tuple[tuple[int, ...], ...]:
+    # entry need: the _B-digit nonnegative walks ending at height >= need,
+    # ascending; built on first use, by adding one top digit at a time
+    ends = [[0]]  # ends[h]: the walks so far that end at height h, ascending
+    for j in range(_B):
+        up = (1 << j).__or__
+        # a top digit 0 steps down from h + 1 and sorts before a top digit
+        # 1, which steps up from h - 1; at[h + 1] is ends[h], or empty
+        at = [[]] + ends + [[], []]
+        ends = [at[h + 2] + list(map(up, at[h])) for h in range(j + 2)]
+    return tuple(tuple(sorted(chain.from_iterable(ends[need:]))) for need in range(_B + 1))
+
+
+def _plain(d: int, stop: int) -> Iterator[int]:
+    # the successor walk from the Dyck number d, over the terms below stop
+    while d < stop:
+        yield d
+        d = core._successor_unchecked(d)
+
+
+def _pieces(d: int, last: int | None) -> Iterator[Iterable[int]]:
+    # iterables that together yield the Dyck numbers from d on, ascending,
+    # through last when it is given
+    if d < _BLOCKED:
+        yield _plain(d, _BLOCKED if last is None else min(last + 1, _BLOCKED))
+        d = core.mersenne_successor(_B + 1)
+        if last is not None and d > last:
+            return
+    tails = _tails()
+    high = d >> _B
+    tail = tails[-core._lowest(high)]
+    yield map((high << _B).__or__, tail[bisect_left(tail, d & (1 << _B) - 1) :])
+    top = None if last is None else last >> _B
+    while True:
+        step = core._successor_unchecked(high, _B) - high
+        high += step
+        if top is not None and high > top:
+            return
+        # A jump sets the c lowest digits of high + 1, 0s that all come before
+        # its walk reaches its lowest point L, so that point rises by 2c, to
+        # -_B or -_B + 1. Block walks end at even heights, so both take the
+        # last table entry.
+        yield map((high << _B).__or__, tails[_B if step > 1 else -core._lowest(high)])
+
+
 def iter_from(start: int = 0) -> Iterator[int]:
     """Yield start and then each Dyck successor, without end.
 
     Raises NotDyckNumberError if start is not a Dyck number.
     """
     core._require_dyck(start)
-    d = start
-    while True:
-        yield d
-        d = core._successor_unchecked(d)
+    return chain.from_iterable(_pieces(start, None))
 
 
 def iter_range(k: int) -> Iterator[int]:
     """Yield the Dyck numbers of binary length exactly k, ascending."""
     if k < 1:
         raise ValueError(f"range index must be >= 1, got {k}")
-    d = core.mersenne_successor(k - 1)
-    last = core.mersenne(k)
-    while d < last:
-        yield d
-        d = core._successor_unchecked(d)
-    yield last
+    return chain.from_iterable(
+        _pieces(core.mersenne_successor(k - 1), core.mersenne(k))
+    )
 
 
 def range_terms(k: int, *, allow_zero_range: bool = False) -> list[int]:
@@ -88,7 +154,7 @@ def range_stats(k: int) -> RangeStats:
     """Boundary terms and counted size of range k, with the A001405 check.
 
     The first and last terms come from closed forms; the size is counted
-    by walking the whole range with the successor function.
+    by enumerating the whole range.
     """
     size = sum(1 for _ in iter_range(k))
     return RangeStats(
@@ -104,8 +170,9 @@ def verify_conjecture(max_k: int) -> list[RangeStats]:
     """Count ranges 1..max_k and compare each against A001405(k-1).
 
     The range-size law follows from the walk bijection in the module
-    docstring. This recount walks the successor and shares no code with
-    the ranking counts, so it checks the two against each other.
+    docstring. This recount enumerates the terms block by block and
+    shares no code with the ranking counts, so it checks the two against
+    each other.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")

@@ -1,8 +1,10 @@
 """Tests for b-file parsing, emission, and diffing."""
 
+import random
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dycknum import bfile, sequence
 
@@ -125,3 +127,136 @@ class TestCompare:
         report = bfile.compare(self._head_bfile(5), reference)
         assert report.verdict == bfile.MISMATCH
         assert report.first_mismatch == (3, 4, 3)
+
+
+def _outcome(parse, text):
+    # the BFile, or what the parse error says and where
+    try:
+        return parse(text)
+    except bfile.BFileParseError as exc:
+        return type(exc), exc.line_number, str(exc)
+
+
+def _line_loop(text):
+    return bfile._parse_lines(text.splitlines())
+
+
+# line edits that a hand-made or foreign b-file may carry; the line loop
+# decides what each of them means
+_EDITS = {
+    "comment": lambda line: ["# A036991 — Dyck numbers, é", line],
+    "blank": lambda line: ["", "  ", line],
+    "crlf": lambda line: [line + "\r"],
+    "tab": lambda line: [line.replace(" ", "\t")],
+    "double space": lambda line: [line.replace(" ", "  ")],
+    "leading space": lambda line: [" " + line],
+    "trailing space": lambda line: [line + " "],
+    "leading zeros": lambda line: ["00" + line.replace(" ", " 0")],
+    "plus": lambda line: [line.replace(" ", " +")],
+    "underscore": lambda line: [line[:1] + "_" + line[1:] if line[1:2].isdigit() else line],
+    "non-ASCII digits": lambda line: [line.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))],
+    "gap": lambda line: [str(int(line.split()[0]) + 1) + " " + line.split()[1]],
+    "negative": lambda line: [line.replace(" ", " -")],
+    "one token": lambda line: [line.split()[0]],
+    "one token and a space": lambda line: [line.split()[0] + " "],
+    "lone surrogate": lambda line: [line + "\ud800"],
+    "three tokens": lambda line: [line + " 7"],
+    "separator in a comment": lambda line: ["# split\x85here", line],
+    "form feed": lambda line: [line + "\x0c"],
+}
+
+
+@st.composite
+def bfile_texts(draw):
+    """Canonical b-file text, perhaps edited near its start, end or a chunk boundary.
+
+    Returns the text and whether it is still canonical, so that the bulk
+    path must take it.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    big = draw(st.booleans())
+    small = draw(st.integers(0, 30))
+    offset = draw(st.integers(0, 10**6))
+    lines = []
+    # boundary: the first line of the second chunk, when the text has no header
+    size = boundary = 0
+    while size <= (bfile._CHUNK + 200 if big else 0) or len(lines) < small:
+        lines.append(f"{offset + len(lines)} {rng.randrange(10 ** rng.randrange(1, 25))}")
+        size += len(lines[-1]) + 1
+        if size <= bfile._CHUNK:
+            boundary = len(lines)
+    count = len(lines)
+    header = ["# A036991 b-file"] * draw(st.integers(0, 2))
+    canonical = True
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(sorted(_EDITS)))
+        if not lines:
+            break
+        near = draw(st.sampled_from([0, boundary, len(lines) - 1]))
+        at = min(max(near + draw(st.integers(-2, 2)), 0), len(lines) - 1)
+        if lines[at].strip()[:1] in ("", "#"):
+            continue  # the edits take a data line
+        lines[at : at + 1] = _EDITS[kind](lines[at])
+        canonical = False
+    text = "\n".join(header + lines)
+    if header or lines:
+        text += draw(st.sampled_from(["\n", "\n", ""]))
+    canonical = canonical and count > 0 and text.endswith("\n")
+    return text, canonical
+
+
+class TestBulkPath:
+    @given(bfile_texts())
+    @settings(deadline=None, max_examples=150)
+    def test_parse_agrees_with_the_line_loop(self, case):
+        text, canonical = case
+        assert _outcome(bfile.parse_bfile, text) == _outcome(_line_loop, text)
+        if canonical:
+            assert bfile._parse_canonical(text) is not None
+
+    def test_emitted_text_takes_the_bulk_path(self):
+        terms = sequence.range_terms(17)
+        text = "# range 17\n" + bfile.emit_bfile(terms, offset=6437)
+        assert len(text) > 2 * bfile._CHUNK
+        assert bfile._parse_canonical(text) == bfile.BFile(6437, tuple(terms))
+
+    def test_value_past_the_decimal_limit(self):
+        # refused by the line loop where Python limits decimal conversion
+        text = "1 0\n2 " + "1" * 5000 + "\n"
+        assert _outcome(bfile.parse_bfile, text) == _outcome(_line_loop, text)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=1 << 200), max_size=50),
+        st.integers(-5, 10**20),
+    )
+    def test_emit_is_the_f_string_rendering(self, terms, offset):
+        expected = "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=offset))
+        assert bfile.emit_bfile(terms, offset) == expected
+        assert bfile.emit_bfile(iter(terms), offset) == expected
+
+    @given(
+        st.integers(0, 8),
+        st.lists(st.integers(0, 2), max_size=12),
+        st.integers(0, 8),
+        st.lists(st.integers(0, 2), max_size=12),
+    )
+    def test_compare_agrees_with_an_index_walk(self, g_off, g_vals, r_off, r_vals):
+        generated = bfile.BFile(g_off, tuple(g_vals))
+        reference = bfile.BFile(r_off, tuple(r_vals))
+        assert bfile.compare(generated, reference) == _walk_compare(generated, reference)
+
+
+def _walk_compare(generated, reference):
+    # the index-by-index comparison that compare's slices must reproduce
+    lo = max(generated.offset, reference.offset)
+    hi = min(generated.end, reference.end)
+    compared = 0
+    for index in range(lo, hi):
+        compared += 1
+        actual = generated.values[index - generated.offset]
+        expected = reference.values[index - reference.offset]
+        if actual != expected:
+            return bfile.DiffReport(bfile.MISMATCH, compared, (index, expected, actual))
+    if generated.offset != reference.offset or generated.end != reference.end:
+        return bfile.DiffReport(bfile.LENGTH_DIFFERS, compared)
+    return bfile.DiffReport(bfile.MATCH, compared)

@@ -218,6 +218,27 @@ class TestBFileCommand:
         assert err == f"error: {path} has no data lines to check against\n"
 
 
+    def test_check_reads_utf8_under_the_c_locale(self, tmp_path):
+        # a comment outside ASCII must not depend on the locale's encoding
+        import os
+        import subprocess
+
+        path = tmp_path / "b036991.txt"
+        text = "# A036991 — Dyck numbers, é\n" + bfile.emit_bfile([0, 1, 3, 5, 7])
+        path.write_bytes(text.encode("utf-8"))
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "dycknum.cli", "bfile", "--check", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"match: 5 terms agree\n", b"")
+
+
 class TestBFileAtHugeOffset:
     OFFSET = 10**18
 

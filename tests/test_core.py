@@ -1,7 +1,5 @@
 """Unit tests for membership, structure, successor, and codecs."""
 
-import sys
-
 import pytest
 
 from dycknum import core
@@ -171,10 +169,6 @@ class TestSuccessor:
         assert exc_info.value.suffix == "001"
         assert exc_info.value.value == n
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
-        reason="no limit on int <-> decimal text conversion",
-    )
     def test_huge_non_dyck_is_named_by_bit_length(self):
         # 20002 bits have more decimal digits than Python's default limit
         with pytest.raises(core.NotDyckNumberError) as exc_info:
@@ -183,6 +177,18 @@ class TestSuccessor:
             "a 20002-bit number is not a Dyck number: suffix 001 of its "
             "binary expansion has more 0s than 1s"
         )
+
+    def test_refusals_name_values_in_decimal_up_to_1024_bits(self):
+        # decimal text of a longer value would cost more than the scan
+        assert core._DECIMAL_BITS == 1024
+        at_bound = (1 << 1023) | 1
+        with pytest.raises(core.NotDyckNumberError) as exc_info:
+            core.successor(at_bound)
+        assert exc_info.value.args[0].startswith(f"{at_bound} is not a Dyck number: suffix 001 ")
+        with pytest.raises(core.NotDyckNumberError) as exc_info:
+            core.successor(at_bound << 1 | 1)
+        assert exc_info.value.args[0].startswith("a 1025-bit number is not a Dyck number: ")
+        assert exc_info.value.value == at_bound << 1 | 1
 
 
 class TestWordCodec:

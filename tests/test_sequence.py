@@ -186,3 +186,129 @@ class TestExactRanking:
         expected = 1 + sum(sequence.central_binomial(j) for j in range(200))
         assert sequence.index_of(core.mersenne(200)) == expected
 
+
+
+def _plain_walk(d):
+    # the per-term successor walk that block enumeration must reproduce
+    while True:
+        yield d
+        d = core._successor_unchecked(d)
+
+
+def _naive_lowest(n):
+    level = lowest = 0
+    for bit in bin(n)[:1:-1]:
+        level += 1 if bit == "1" else -1
+        lowest = min(lowest, level)
+    return lowest
+
+
+@st.composite
+def high_parts(draw, floor=sequence._B, max_bits=60):
+    """A walk whose lowest point is >= -floor, drawn digit by digit from the low end."""
+    length = draw(st.integers(1, max_bits))
+    level, high = floor, 0
+    for pos in range(length - 1):
+        bit = 1 if level == 0 else draw(st.integers(0, 1))
+        high |= bit << pos
+        level += 1 if bit else -1
+    return high | 1 << (length - 1)
+
+
+class TestBlockWalk:
+    def test_tables_hold_exactly_the_walks_that_end_high_enough(self):
+        tails = sequence._tails()
+        B = sequence._B
+        ends = {}
+        for w in range(1 << B):
+            heights = [2 * bin(w & ((1 << p) - 1)).count("1") - p for p in range(1, B + 1)]
+            if min(heights) >= 0:
+                ends[w] = heights[-1]
+        assert len(tails) == B + 1
+        for need, tail in enumerate(tails):
+            assert list(tail) == sorted(w for w, end in ends.items() if end >= need)
+
+    def test_high_part_successor_against_a_search(self):
+        # every valid high part below 2**13, for every floor up to the block size
+        lowest = [_naive_lowest(h) for h in range(1 << 14)]
+        for floor in range(sequence._B + 1):
+            valid = [h for h in range(1, 1 << 14) if lowest[h] >= -floor]
+            for h, following in zip(valid, valid[1:]):
+                if h >> 13:
+                    break
+                assert core._successor_unchecked(h, floor) == following, (h, floor)
+
+    def test_ranges_match_the_successor_walk(self):
+        for k in range(1, 23):
+            first, last = core.mersenne_successor(k - 1), core.mersenne(k)
+            walked = []
+            for d in _plain_walk(first):
+                if d > last:
+                    break
+                walked.append(d)
+            assert sequence.range_terms(k) == walked, k
+
+    def test_ranges_match_the_oracle(self):
+        for k in range(1, 17):
+            assert sequence.range_terms(k) == oracle.brute_range(k), k
+
+    def test_range_stops_by_value(self, monkeypatch):
+        # a count of C(k-1, (k-1)//2) terms must play no part in where a
+        # range ends, or verify_conjecture would check the count against itself
+        monkeypatch.setattr(sequence, "central_binomial", lambda m: 1)
+        assert sum(1 for _ in sequence.iter_range(18)) == 24310
+
+    def test_import_builds_no_table(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import dycknum, dycknum.cli\n"
+            "from dycknum import sequence\n"
+            "assert sequence._tails.cache_info().currsize == 0\n"
+            "next(sequence.iter_from(1 << 20 | 4095))\n"
+            "assert sequence._tails.cache_info().currsize == 1\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def _agrees(self, start, count=3000):
+        assert list(islice(sequence.iter_from(start), count)) == list(
+            islice(_plain_walk(start), count)
+        )
+
+    @given(high_parts(), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=60)
+    def test_from_the_last_word_of_a_block(self, high, pick):
+        tail = sequence._tails()[-_naive_lowest(high)]
+        self._agrees(high << sequence._B | tail[-1 - pick % min(len(tail), 3)])
+
+    @given(st.integers(1, 60), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=40)
+    def test_from_mersenne_high_parts(self, m, pick):
+        tail = sequence._tails()[0]
+        self._agrees(core.mersenne(m) << sequence._B | tail[pick % len(tail)])
+
+    @given(high_parts(floor=0, max_bits=40), st.integers(0, 10**6))
+    @settings(deadline=None, max_examples=40)
+    def test_from_a_high_part_at_the_floor(self, above, pick):
+        # B down steps, then a walk that starts up and stays at or above -B
+        high = above << sequence._B
+        assert _naive_lowest(high) == -sequence._B
+        tail = sequence._tails()[sequence._B]
+        self._agrees(high << sequence._B | tail[pick % len(tail)])
+
+    @given(st.integers(0, (1 << (sequence._B + 1)) - 1))
+    @settings(deadline=None, max_examples=60)
+    def test_from_below_the_blocks(self, n):
+        while not _naive_is_dyck(n):
+            n += 1
+        self._agrees(n)
+
+    @given(st.sampled_from([55, 840]), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=30)
+    def test_from_wide_starts(self, bits, rng):
+        lo = sequence.index_of(core.mersenne_successor(bits - 1))
+        self._agrees(sequence.term_at(rng.randrange(lo, 2 * lo)), count=2000)
