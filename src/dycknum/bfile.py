@@ -14,10 +14,10 @@ compare tests equal spans with one tuple comparison.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import eq, ne
-from typing import Iterable, Iterator
 
 MATCH = "match"
 MISMATCH = "mismatch"

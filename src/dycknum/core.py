@@ -216,12 +216,7 @@ def valley_depth(d: int) -> int | None:
     return rep + _lowest(d >> rep)
 
 
-def _successor_unchecked(d: int, floor: int = 0) -> int:
-    # the least n > d whose walk has its lowest point >= -floor, for such a
-    # d; floor 0 gives the Dyck successor, and a walk may end at any height
-    if floor:
-        low = _lowest(d + 1) + floor
-        return d + 1 if low >= 0 else d + (1 << -(low // 2))
+def _successor_unchecked(d: int) -> int:
     if d & 7 != 7:
         # a trailing 1-run of at most two digits, or d = 0
         return d + 2 if d else 1

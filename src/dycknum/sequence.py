@@ -27,11 +27,11 @@ A036991 b-file (term 13496 is 65535).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import comb
-from typing import Iterable, Iterator
 
 from . import core
 
@@ -48,10 +48,10 @@ def central_binomial(m: int) -> int:
 # ground, that is when e >= need = -_lowest(high). So each valid high part
 # contributes the block walks ending at height >= need, in ascending order,
 # and the valid high parts are the walks whose lowest point is >= -_B, which
-# core._successor_unchecked steps with floor _B. The per-height tables are
-# the block min-excess idea of range min-max trees (Navarro & Sadakane, ACM
-# TALG 2014) applied to generation in order, as in Knuth's Algorithm P
-# (TAOCP 4A, 7.2.1.6).
+# _next_high steps by the successor's rule with the floor at -_B. The
+# per-height tables are the block min-excess idea of range min-max trees
+# (Navarro & Sadakane, ACM TALG 2014) applied to generation in order, as in
+# Knuth's Algorithm P (TAOCP 4A, 7.2.1.6).
 _B = 12
 _BLOCKED = 1 << (_B + 1)  # terms below this come from the plain walk
 
@@ -77,6 +77,19 @@ def _plain(d: int, stop: int) -> Iterator[int]:
         d = core._successor_unchecked(d)
 
 
+def _next_high(high: int) -> tuple[int, int]:
+    # the valid high part after the valid high part high, and its need. With
+    # L the lowest point of high + 1, that is high + 1 if L >= -_B; otherwise
+    # the successor's jump sets the c = ceil((-_B - L)/2) lowest digits of
+    # high + 1, 0s that all come before its walk reaches L, so that point
+    # rises by 2c, to -_B or -_B + 1. Block walks end at even heights, so
+    # both take the last table entry.
+    low = core._lowest(high + 1)
+    if low >= -_B:
+        return high + 1, -low
+    return high + (1 << -((low + _B) // 2)), _B
+
+
 def _pieces(d: int, last: int | None) -> Iterator[Iterable[int]]:
     # iterables that together yield the Dyck numbers from d on, ascending,
     # through last when it is given
@@ -91,15 +104,10 @@ def _pieces(d: int, last: int | None) -> Iterator[Iterable[int]]:
     yield map((high << _B).__or__, tail[bisect_left(tail, d & (1 << _B) - 1) :])
     top = None if last is None else last >> _B
     while True:
-        step = core._successor_unchecked(high, _B) - high
-        high += step
+        high, need = _next_high(high)
         if top is not None and high > top:
             return
-        # A jump sets the c lowest digits of high + 1, 0s that all come before
-        # its walk reaches its lowest point L, so that point rises by 2c, to
-        # -_B or -_B + 1. Block walks end at even heights, so both take the
-        # last table entry.
-        yield map((high << _B).__or__, tails[_B if step > 1 else -core._lowest(high)])
+        yield map((high << _B).__or__, tails[need])
 
 
 def iter_from(start: int = 0) -> Iterator[int]:

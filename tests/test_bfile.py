@@ -1,7 +1,7 @@
 """Tests for b-file parsing, emission, and diffing."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,7 +155,7 @@ _EDITS = {
     "plus": lambda line: [line.replace(" ", " +")],
     "underscore": lambda line: [line[:1] + "_" + line[1:] if line[1:2].isdigit() else line],
     "non-ASCII digits": lambda line: [line.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))],
-    "gap": lambda line: [str(int(line.split()[0]) + 1) + " " + line.split()[1]],
+    "gap": lambda line: [" ".join([str(int(line.split()[0]) + 1), *line.split()[1:]])],
     "negative": lambda line: [line.replace(" ", " -")],
     "one token": lambda line: [line.split()[0]],
     "one token and a space": lambda line: [line.split()[0] + " "],
@@ -213,6 +213,15 @@ class TestBulkPath:
         assert _outcome(bfile.parse_bfile, text) == _outcome(_line_loop, text)
         if canonical:
             assert bfile._parse_canonical(text) is not None
+
+    def test_every_pair_of_edits_applies(self):
+        # two edits of bfile_texts may land on the same data line
+        for first, second in product(_EDITS, repeat=2):
+            for line in _EDITS[first]("5 7"):
+                if line.strip()[:1] not in ("", "#"):
+                    edited = _EDITS[second](line)
+                    assert isinstance(edited, list), (first, second)
+                    assert all(isinstance(x, str) for x in edited), (first, second)
 
     def test_emitted_text_takes_the_bulk_path(self):
         terms = sequence.range_terms(17)

@@ -359,6 +359,32 @@ class TestBrokenPipe:
         assert proc.stderr == ""
 
 
+class TestStartUp:
+    def test_import_loads_no_typing_pathlib_or_logging(self):
+        # -S, since a site module may preload some of these itself
+        import os
+        import subprocess
+
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import dycknum, dycknum.cli\n"
+            "print(sorted({'typing', 'pathlib', 'logging'} & (set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",

@@ -229,14 +229,35 @@ class TestBlockWalk:
             assert list(tail) == sorted(w for w, end in ends.items() if end >= need)
 
     def test_high_part_successor_against_a_search(self):
-        # every valid high part below 2**13, for every floor up to the block size
+        # every Dyck number and every valid high part below 2**13: the Dyck
+        # successor, and the block walk's step with its table row
         lowest = [_naive_lowest(h) for h in range(1 << 14)]
-        for floor in range(sequence._B + 1):
-            valid = [h for h in range(1, 1 << 14) if lowest[h] >= -floor]
-            for h, following in zip(valid, valid[1:]):
-                if h >> 13:
-                    break
-                assert core._successor_unchecked(h, floor) == following, (h, floor)
+        valid = [h for h in range(1, 1 << 14) if lowest[h] >= 0]
+        for h, following in zip(valid, valid[1:]):
+            if h >> 13:
+                break
+            assert core._successor_unchecked(h) == following, h
+        tails = sequence._tails()
+        valid = [h for h in range(1, 1 << 14) if lowest[h] >= -sequence._B]
+        for h, following in zip(valid, valid[1:]):
+            if h >> 13:
+                break
+            high, need = sequence._next_high(h)
+            assert high == following, h
+            assert tails[need] == tails[-lowest[following]], h
+
+    def test_one_lowest_point_scan_per_high_part(self, monkeypatch):
+        scans = []
+        lowest = core._lowest
+
+        def counted(n):
+            scans.append(n)
+            return lowest(n)
+
+        monkeypatch.setattr(core, "_lowest", counted)
+        highs = {d >> sequence._B for d in sequence.range_terms(20)}
+        # plus one for the step that passes the range's last high part
+        assert len(scans) <= len(highs) + 1
 
     def test_ranges_match_the_successor_walk(self):
         for k in range(1, 23):
