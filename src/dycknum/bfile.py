@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from itertools import compress, count
 from operator import eq, ne
 
+from . import core
+
 MATCH = "match"
 MISMATCH = "mismatch"
 LENGTH_DIFFERS = "length-differs"
@@ -135,6 +137,17 @@ def _parse_lines(lines: Iterable[str]) -> BFile:
         try:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
+            # a decimal token fails only past Python's limit on decimal text
+            # conversion; name its length instead of repeating the line
+            limit = core._str_digit_limit()
+            for token in parts:
+                digits = token.lstrip("+-")
+                if limit and digits.isdecimal() and len(digits) > limit:
+                    raise BFileParseError(
+                        line_number,
+                        f"a token of {len(digits)} decimal digits exceeds "
+                        f"Python's limit of {limit} for decimal conversion",
+                    ) from None
             raise BFileParseError(
                 line_number, f"non-numeric token in {line!r}"
             ) from None

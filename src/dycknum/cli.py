@@ -16,12 +16,6 @@ from itertools import islice
 from . import __version__, bfile, core, oracle, sequence
 
 
-def _str_digit_limit() -> int:
-    # the interpreter's cap on int <-> decimal text conversion, 0 for none
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    return get_limit() if get_limit else 0
-
-
 def _natural(text: str) -> int:
     try:
         value = int(text, 10)
@@ -30,7 +24,7 @@ def _natural(text: str) -> int:
             value = int(text, 0)
         except ValueError:
             digits = text.strip().replace("_", "")
-            limit = _str_digit_limit()
+            limit = core._str_digit_limit()
             if limit and digits.isdecimal() and len(digits) > limit:
                 raise argparse.ArgumentTypeError(
                     f"{len(digits)} decimal digits exceed Python's limit of "
@@ -58,7 +52,7 @@ def _fmt(n: int, binary: bool) -> str:
     except ValueError:
         raise ValueError(
             f"{n.bit_length()}-bit result has more decimal digits than "
-            f"Python's limit of {_str_digit_limit()} for decimal conversion; "
+            f"Python's limit of {core._str_digit_limit()} for decimal conversion; "
             f"use --binary"
         ) from None
 
@@ -73,8 +67,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_succ(args: argparse.Namespace) -> int:
-    first = core.successor(args.number)
-    for value in islice(sequence.iter_from(first), args.count):
+    for value in islice(sequence.iter_from(args.number), 1, args.count + 1):
         print(_fmt(value, args.binary))
     return 0
 

@@ -25,6 +25,7 @@ All functions are pure and operate on plain ``int`` values of any size.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 
 UP = "U"
@@ -43,6 +44,12 @@ _WORD_TO_WALK = bytes(
 # 309 decimal digits, below the least limit (640) that Python lets a
 # program set on int -> decimal conversion, so the conversion cannot fail.
 _DECIMAL_BITS = 1024
+
+
+def _str_digit_limit() -> int:
+    # the interpreter's cap on int <-> decimal text conversion, 0 for none
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
 
 
 class NotDyckNumberError(ValueError):

@@ -11,14 +11,14 @@ term_at and index_of rank and unrank exactly by counting those walks
 with ballot numbers, so an ordinal costs O(k) binomial coefficients and
 no successor steps.
 
-iter_from and iter_range enumerate in blocks: a term of 14 or more
-digits is a high part followed by a 12-digit low block, and each valid
-high part is followed by every low block whose walk ends high enough to
-carry it, taken in order from a table. The tables (4,096 entries) are
-built on the first enumeration that reaches 2**13, not at import; terms
-below 2**13 come from the plain successor walk. range_stats and
-verify_conjecture count each range by this enumeration, which stops at
-the range's last term by value, independently of the ballot counts.
+iter_from and iter_range enumerate in blocks: a term is a high part
+followed by a 12-digit low block, and each valid high part is followed
+by every low block whose walk ends high enough to carry it, taken in
+order from a table; the high part 0 takes the 989 Dyck numbers below
+2**12 from a table of their own. The tables (5,085 entries) are built on
+the first enumeration, not at import. range_stats and verify_conjecture
+count each range by this enumeration, which stops at the range's last
+term by value, independently of the ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -26,7 +26,7 @@ A036991 b-file (term 13496 is 65535).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -41,40 +41,38 @@ def central_binomial(m: int) -> int:
     return comb(m, m // 2)
 
 
-# Block enumeration. A term of more than _B + 1 digits is high << _B | w,
-# where the low block w is _B digits read as a walk from the low end that
-# never goes below 0 and ends at some height e. The term is a Dyck number
+# Block enumeration. A term is high << _B | w, where the low block w is _B
+# digits read as a walk from the low end that never goes below 0 and ends at
+# some height e. For a high part other than 0, the term is a Dyck number
 # exactly when the walk of high, which starts at e, stays on or above
-# ground, that is when e >= need = -_lowest(high). So each valid high part
-# contributes the block walks ending at height >= need, in ascending order,
-# and the valid high parts are the walks whose lowest point is >= -_B, which
-# _next_high steps by the successor's rule with the floor at -_B. The
+# ground, that is when e >= need = -_lowest(high). So each such valid high
+# part contributes the block walks ending at height >= need, in ascending
+# order, and the valid high parts are the walks whose lowest point is
+# >= -_B, which _next_high steps by the successor's rule with the floor at
+# -_B. The high part 0 contributes the Dyck numbers below 2**_B instead. The
 # per-height tables are the block min-excess idea of range min-max trees
 # (Navarro & Sadakane, ACM TALG 2014) applied to generation in order, as in
 # Knuth's Algorithm P (TAOCP 4A, 7.2.1.6).
 _B = 12
-_BLOCKED = 1 << (_B + 1)  # terms below this come from the plain walk
 
 
 @cache
-def _tails() -> tuple[tuple[int, ...], ...]:
-    # entry need: the _B-digit nonnegative walks ending at height >= need,
-    # ascending; built on first use, by adding one top digit at a time
+def _tables() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    # (small, tails): small holds the Dyck numbers below 2**_B and
+    # tails[need] the _B-digit nonnegative walks ending at height >= need,
+    # each ascending; built on first use, by adding one top digit at a time
+    small = [0]
     ends = [[0]]  # ends[h]: the walks so far that end at height h, ascending
     for j in range(_B):
         up = (1 << j).__or__
+        # a leading 1 over the j-digit walks gives range j + 1
+        small += sorted(map(up, chain.from_iterable(ends)))
         # a top digit 0 steps down from h + 1 and sorts before a top digit
         # 1, which steps up from h - 1; at[h + 1] is ends[h], or empty
         at = [[]] + ends + [[], []]
         ends = [at[h + 2] + list(map(up, at[h])) for h in range(j + 2)]
-    return tuple(tuple(sorted(chain.from_iterable(ends[need:]))) for need in range(_B + 1))
-
-
-def _plain(d: int, stop: int) -> Iterator[int]:
-    # the successor walk from the Dyck number d, over the terms below stop
-    while d < stop:
-        yield d
-        d = core._successor_unchecked(d)
+    tails = tuple(tuple(sorted(chain.from_iterable(ends[need:]))) for need in range(_B + 1))
+    return tuple(small), tails
 
 
 def _next_high(high: int) -> tuple[int, int]:
@@ -92,21 +90,18 @@ def _next_high(high: int) -> tuple[int, int]:
 
 def _pieces(d: int, last: int | None) -> Iterator[Iterable[int]]:
     # iterables that together yield the Dyck numbers from d on, ascending,
-    # through last when it is given
-    if d < _BLOCKED:
-        yield _plain(d, _BLOCKED if last is None else min(last + 1, _BLOCKED))
-        d = core.mersenne_successor(_B + 1)
-        if last is not None and d > last:
-            return
-    tails = _tails()
+    # through last when it is given. last is a Mersenne number: its high
+    # part is valid, so the steps reach it, and its low block 2**_B - 1
+    # ends every row, so only a first piece in that high part needs a cut.
+    small, tails = _tables()
+    mask = (1 << _B) - 1
     high = d >> _B
-    tail = tails[-core._lowest(high)]
-    yield map((high << _B).__or__, tail[bisect_left(tail, d & (1 << _B) - 1) :])
     top = None if last is None else last >> _B
-    while True:
+    tail = tails[-core._lowest(high)] if high else small
+    stop = bisect_right(tail, last & mask) if high == top else None
+    yield map((high << _B).__or__, tail[bisect_left(tail, d & mask) : stop])
+    while high != top:
         high, need = _next_high(high)
-        if top is not None and high > top:
-            return
         yield map((high << _B).__or__, tails[need])
 
 

@@ -1,6 +1,7 @@
 """Tests for b-file parsing, emission, and diffing."""
 
 import random
+import sys
 from itertools import islice, product
 
 import pytest
@@ -64,6 +65,21 @@ class TestParse:
     def test_negative_value_error(self):
         with pytest.raises(bfile.BFileParseError, match="negative value"):
             bfile.parse_bfile("1 -3\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+        reason="no limit on int <-> decimal text conversion",
+    )
+    def test_value_past_the_digit_limit_is_named_by_digit_count(self):
+        limit = sys.get_int_max_str_digits()
+        for token in ["9" * (limit + 1), "+" + "0" * (limit + 700)]:
+            with pytest.raises(bfile.BFileParseError) as exc_info:
+                bfile.parse_bfile(f"# head\n1 0\n2 {token}\n")
+            assert exc_info.value.line_number == 3
+            assert str(exc_info.value) == (
+                f"line 3: a token of {len(token.lstrip('+'))} decimal digits "
+                f"exceeds Python's limit of {limit} for decimal conversion"
+            )
 
 
 class TestEmit:

@@ -309,6 +309,17 @@ class TestDecimalDigitLimit:
         _, _, err = run(capsys, "succ", "0b1" + "0" * 20000 + "1")
         assert err.startswith("error: a 20002-bit number is not a Dyck number: suffix 001 ")
 
+    def test_long_value_in_a_checked_bfile_is_named_by_digit_count(self, capsys, tmp_path):
+        digits = sys.get_int_max_str_digits() + 700
+        path = tmp_path / "long.txt"
+        path.write_text(f"1 {'9' * digits}\n", encoding="utf-8")
+        code, out, err = run(capsys, "bfile", "--check", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: line 1: a token of {digits} decimal digits exceeds Python's "
+            f"limit of {sys.get_int_max_str_digits()} for decimal conversion\n"
+        )
+
 
 class TestOracleSucc:
     def test_value(self, capsys):

@@ -217,7 +217,8 @@ def high_parts(draw, floor=sequence._B, max_bits=60):
 
 class TestBlockWalk:
     def test_tables_hold_exactly_the_walks_that_end_high_enough(self):
-        tails = sequence._tails()
+        small, tails = sequence._tables()
+        assert list(small) == [0] + [d for k in range(1, 13) for d in oracle.brute_range(k)]
         B = sequence._B
         ends = {}
         for w in range(1 << B):
@@ -237,7 +238,7 @@ class TestBlockWalk:
             if h >> 13:
                 break
             assert core._successor_unchecked(h) == following, h
-        tails = sequence._tails()
+        tails = sequence._tables()[1]
         valid = [h for h in range(1, 1 << 14) if lowest[h] >= -sequence._B]
         for h, following in zip(valid, valid[1:]):
             if h >> 13:
@@ -275,9 +276,11 @@ class TestBlockWalk:
 
     def test_range_stops_by_value(self, monkeypatch):
         # a count of C(k-1, (k-1)//2) terms must play no part in where a
-        # range ends, or verify_conjecture would check the count against itself
+        # range ends, or verify_conjecture would check the count against
+        # itself; range 12 ends inside the table of terms below 2**12
         monkeypatch.setattr(sequence, "central_binomial", lambda m: 1)
-        assert sum(1 for _ in sequence.iter_range(18)) == 24310
+        for k, size in [(12, 462), (18, 24310)]:
+            assert sum(1 for _ in sequence.iter_range(k)) == size, k
 
     def test_import_builds_no_table(self):
         import subprocess
@@ -286,9 +289,11 @@ class TestBlockWalk:
         probe = (
             "import dycknum, dycknum.cli\n"
             "from dycknum import sequence\n"
-            "assert sequence._tails.cache_info().currsize == 0\n"
+            "assert sequence._tables.cache_info().currsize == 0\n"
+            "next(sequence.iter_from(0))\n"
+            "assert sequence._tables.cache_info().currsize == 1\n"
             "next(sequence.iter_from(1 << 20 | 4095))\n"
-            "assert sequence._tails.cache_info().currsize == 1\n"
+            "assert sequence._tables.cache_info().currsize == 1\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
@@ -303,13 +308,13 @@ class TestBlockWalk:
     @given(high_parts(), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=60)
     def test_from_the_last_word_of_a_block(self, high, pick):
-        tail = sequence._tails()[-_naive_lowest(high)]
+        tail = sequence._tables()[1][-_naive_lowest(high)]
         self._agrees(high << sequence._B | tail[-1 - pick % min(len(tail), 3)])
 
     @given(st.integers(1, 60), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=40)
     def test_from_mersenne_high_parts(self, m, pick):
-        tail = sequence._tails()[0]
+        tail = sequence._tables()[1][0]
         self._agrees(core.mersenne(m) << sequence._B | tail[pick % len(tail)])
 
     @given(high_parts(floor=0, max_bits=40), st.integers(0, 10**6))
@@ -318,7 +323,7 @@ class TestBlockWalk:
         # B down steps, then a walk that starts up and stays at or above -B
         high = above << sequence._B
         assert _naive_lowest(high) == -sequence._B
-        tail = sequence._tails()[sequence._B]
+        tail = sequence._tables()[1][sequence._B]
         self._agrees(high << sequence._B | tail[pick % len(tail)])
 
     @given(st.integers(0, (1 << (sequence._B + 1)) - 1))
