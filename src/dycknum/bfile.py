@@ -139,15 +139,13 @@ def _parse_lines(lines: Iterable[str]) -> BFile:
         except ValueError:
             # a decimal token fails only past Python's limit on decimal text
             # conversion; name its length instead of repeating the line
-            limit = core._str_digit_limit()
-            for token in parts:
-                digits = token.lstrip("+-")
-                if limit and digits.isdecimal() and len(digits) > limit:
-                    raise BFileParseError(
-                        line_number,
-                        f"a token of {len(digits)} decimal digits exceeds "
-                        f"Python's limit of {limit} for decimal conversion",
-                    ) from None
+            digits = next(filter(None, map(core._digits_past_limit, parts)), 0)
+            if digits:
+                raise BFileParseError(
+                    line_number,
+                    f"a token of {digits} decimal digits exceeds Python's "
+                    f"limit of {core._str_digit_limit()} for decimal conversion",
+                ) from None
             raise BFileParseError(
                 line_number, f"non-numeric token in {line!r}"
             ) from None

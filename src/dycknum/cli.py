@@ -23,13 +23,12 @@ def _natural(text: str) -> int:
         try:
             value = int(text, 0)
         except ValueError:
-            digits = text.strip().replace("_", "")
-            limit = core._str_digit_limit()
-            if limit and digits.isdecimal() and len(digits) > limit:
+            digits = core._digits_past_limit(text)
+            if digits:
                 raise argparse.ArgumentTypeError(
-                    f"{len(digits)} decimal digits exceed Python's limit of "
-                    f"{limit} for decimal conversion; give the number in 0x or "
-                    f"0b form"
+                    f"{digits} decimal digits exceed Python's limit of "
+                    f"{core._str_digit_limit()} for decimal conversion; give the "
+                    f"number in 0x or 0b form"
                 ) from None
             raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if value < 0:
@@ -147,6 +146,15 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         return 1
     count = 20 if args.count is None else args.count
     offset = 1 if args.offset is None else args.offset
+    # indices print in decimal: refuse one too long for that before
+    # computing a term, which at that size takes a minute or more
+    last = offset + count - 1
+    limit = core._str_digit_limit()
+    if limit and last >= 10**limit:
+        raise ValueError(
+            f"{last.bit_length()}-bit index has more decimal digits than "
+            f"Python's limit of {limit} for decimal conversion"
+        )
     terms = sequence.iter_from(sequence.term_at(offset))
     for index, value in islice(enumerate(terms, start=offset), count):
         print(f"{index} {value}")
@@ -271,10 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         # reader went away mid-stream (e.g. piping into head)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

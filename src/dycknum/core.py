@@ -52,6 +52,22 @@ def _str_digit_limit() -> int:
     return get_limit() if get_limit else 0
 
 
+# int() takes any whitespace around a numeral that str.strip() takes but
+# the four ASCII information separators
+_SEPARATORS = str.maketrans("\x1c\x1d\x1e\x1f", "????")
+
+
+def _digits_past_limit(text: str) -> int:
+    # the digit count of a decimal numeral that int() refuses only because
+    # it is longer than the limit above: one optional sign, digits in any
+    # script, single underscores between them; 0 for any other text
+    body = text.translate(_SEPARATORS).strip()
+    groups = body[body.startswith(("+", "-")) :].split("_")
+    digits = sum(map(len, groups))
+    limit = _str_digit_limit()
+    return digits if limit and digits > limit and all(map(str.isdecimal, groups)) else 0
+
+
 class NotDyckNumberError(ValueError):
     """Input fails the suffix-balance rule, so it encodes no Dyck path."""
 

@@ -72,12 +72,16 @@ class TestParse:
     )
     def test_value_past_the_digit_limit_is_named_by_digit_count(self):
         limit = sys.get_int_max_str_digits()
-        for token in ["9" * (limit + 1), "+" + "0" * (limit + 700)]:
+        for token, digits in [
+            ("9" * (limit + 1), limit + 1),
+            ("+" + "0" * (limit + 700), limit + 700),
+            ("1_" + "0" * (limit + 700), limit + 701),
+        ]:
             with pytest.raises(bfile.BFileParseError) as exc_info:
                 bfile.parse_bfile(f"# head\n1 0\n2 {token}\n")
             assert exc_info.value.line_number == 3
             assert str(exc_info.value) == (
-                f"line 3: a token of {len(token.lstrip('+'))} decimal digits "
+                f"line 3: a token of {digits} decimal digits "
                 f"exceeds Python's limit of {limit} for decimal conversion"
             )
 
@@ -244,6 +248,17 @@ class TestBulkPath:
         text = "# range 17\n" + bfile.emit_bfile(terms, offset=6437)
         assert len(text) > 2 * bfile._CHUNK
         assert bfile._parse_canonical(text) == bfile.BFile(6437, tuple(terms))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# only",  # a comment with no newline
+            "# a\x85b\n1 0\n",  # a line boundary that only splitlines knows
+        ],
+    )
+    def test_header_the_bulk_path_leaves_to_the_line_loop(self, text):
+        assert bfile._parse_canonical(text) is None
+        assert _outcome(bfile.parse_bfile, text) == _outcome(_line_loop, text)
 
     def test_value_past_the_decimal_limit(self):
         # refused by the line loop where Python limits decimal conversion

@@ -145,6 +145,17 @@ class TestVerifyConjecture:
         assert lines[0] == "range 1: size=1 expected=1 match"
         assert lines[-1] == "conjecture holds for ranges 1..5"
 
+    def test_a_wrong_size_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(sequence, "central_binomial", lambda m: 1)
+        code, out, _ = run(capsys, "verify-conjecture", "--max-range", "3")
+        assert code == 1
+        assert out.splitlines() == [
+            "range 1: size=1 expected=1 match",
+            "range 2: size=1 expected=1 match",
+            "range 3: size=2 expected=1 MISMATCH",
+            "conjecture FAILED; see mismatches above",
+        ]
+
     def test_max_range_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify-conjecture"])
@@ -283,13 +294,15 @@ class TestBFileAtHugeOffset:
 class TestDecimalDigitLimit:
     def test_long_decimal_input_is_refused_as_too_long(self, capsys):
         digits = "1" * (sys.get_int_max_str_digits() + 700)
-        with pytest.raises(SystemExit) as exc_info:
-            main(["check", digits])
-        err = capsys.readouterr().err
-        assert exc_info.value.code == 2
-        assert "decimal digits exceed" in err
-        assert "0x or 0b form" in err
-        assert "not a number" not in err
+        for text in [digits, "-" + digits, "+" + digits]:
+            with pytest.raises(SystemExit) as exc_info:
+                main(["check", "--", text])
+            err = capsys.readouterr().err
+            assert exc_info.value.code == 2
+            assert f"{len(digits)} decimal digits exceed" in err
+            assert "0x or 0b form" in err
+            assert "not a number" not in err
+            assert len(err.encode()) < 300
 
     def test_same_size_in_hex_is_accepted(self, capsys):
         hex_digits = "f" * (sys.get_int_max_str_digits() + 700)
@@ -321,6 +334,29 @@ class TestDecimalDigitLimit:
         )
 
 
+    def test_bfile_index_past_the_limit_is_refused_before_any_term(self, capsys, monkeypatch):
+        class TermComputed(Exception):
+            pass
+
+        def term_at(n):
+            raise TermComputed
+
+        monkeypatch.setattr(sequence, "term_at", term_at)
+        code, out, err = run(capsys, "bfile", "--offset", "0x" + "f" * 3600, "--count", "1")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: 14400-bit index has more decimal digits than Python's limit "
+            f"of {sys.get_int_max_str_digits()} for decimal conversion\n"
+        )
+        # the refusal turns on the last index alone
+        widest = 10 ** sys.get_int_max_str_digits() - 1
+        with pytest.raises(TermComputed):
+            main(["bfile", "--offset", hex(widest - 1), "--count", "2"])
+        code, out, err = run(capsys, "bfile", "--offset", hex(widest - 1), "--count", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {(widest + 1).bit_length()}-bit index has more")
+
+
 class TestOracleSucc:
     def test_value(self, capsys):
         assert run(capsys, "oracle-succ", "31")[:2] == (0, "39\n")
@@ -350,6 +386,12 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["succ", "--count", "0", "1"])
 
+    def test_negative_number(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["check", "--", "-5"])
+        assert exc_info.value.code == 2
+        assert "must be non-negative: '-5'" in capsys.readouterr().err
+
 
 class TestBrokenPipe:
     def test_stream_into_closed_pipe_is_silent(self):
@@ -368,6 +410,27 @@ class TestBrokenPipe:
         assert proc.returncode == 0
         assert proc.stdout.split() == ["0", "1", "3"]
         assert proc.stderr == ""
+
+    def test_reader_closing_the_pipe_ends_the_run_cleanly(self):
+        # the pipeline above reports head's exit status; this reads dyck's
+        import os
+        import subprocess
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dycknum.cli", "enumerate", "--count", "200000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 class TestStartUp:

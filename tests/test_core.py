@@ -1,6 +1,11 @@
 """Unit tests for membership, structure, successor, and codecs."""
 
+import random
+import sys
+from functools import cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dycknum import core
 
@@ -266,3 +271,88 @@ class TestByteTables:
             net, lowest = self.recount(b)
             assert core._NET[b] == net, b
             assert core._LOW[b] == lowest, b
+
+
+@cache
+def _characters(test):
+    return [c for c in map(chr, range(sys.maxunicode + 1)) if test(c)]
+
+
+# str.isspace() counts these as whitespace, int() does not
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _spaces():
+    return [c for c in _characters(str.isspace) if c not in _SEPARATORS]
+
+
+def _reads_without_limit(text):
+    # whether int() reads text once the digit limit is lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        int(text)
+        return True
+    except ValueError:
+        return False
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def numerals(draw):
+    """A decimal numeral that int() reads when it has no limit, and its digit count.
+
+    One optional sign, digits from any script, single underscores between
+    them, and whitespace around; the count straddles the limit.
+    """
+    limit = core._str_digit_limit()
+    size = draw(st.sampled_from([1, limit - 1, limit, limit + 1, limit + 700]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    digits = [rng.choice(_characters(str.isdecimal)) for _ in range(size)]
+    cuts = rng.sample(range(1, size), min(size - 1, draw(st.integers(0, 4))))
+    for at in sorted(cuts, reverse=True):
+        digits.insert(at, "_")
+    spaces = st.text(st.sampled_from(_spaces()), max_size=3)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    return draw(spaces) + sign + "".join(digits) + draw(spaces), size
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="no limit on int <-> decimal text conversion",
+)
+class TestDigitsPastLimit:
+    """The one test of a numeral that int() refuses only for its length."""
+
+    @given(numerals())
+    @settings(deadline=None)
+    def test_numeral_is_named_by_its_digit_count_past_the_limit(self, case):
+        text, size = case
+        assert _reads_without_limit(text)
+        expected = size if size > sys.get_int_max_str_digits() else 0
+        assert core._digits_past_limit(text) == expected
+
+    @given(
+        numerals(),
+        st.characters().filter(
+            lambda c: c in _SEPARATORS or not (c.isdecimal() or c.isspace() or c in "+-_")
+        ),
+        st.integers(min_value=0),
+    )
+    @settings(deadline=None)
+    def test_any_other_character_gives_zero(self, case, char, at):
+        text, _ = case
+        at %= len(text) + 1
+        text = text[:at] + char + text[at:]
+        assert not _reads_without_limit(text)
+        assert core._digits_past_limit(text) == 0
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["", " ", "+", "-", "_", "{}_", "_{}", "{}__1", "+-{}", "--{}", "- {}", "+_{}", "{}-", "\x1c{}", "{}\x1f"],
+    )
+    def test_misplaced_sign_underscore_or_space_gives_zero(self, shape):
+        text = shape.format("9" * (sys.get_int_max_str_digits() + 1))
+        assert not _reads_without_limit(text)
+        assert core._digits_past_limit(text) == 0
