@@ -24,13 +24,21 @@ def _natural(text: str) -> int:
             value = int(text, 0)
         except ValueError:
             digits = core._digits_past_limit(text)
-            if digits:
+            if not digits:
+                raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+            # the text is a sign, digits and underscores inside whitespace; a
+            # minus makes it negative unless every digit is a zero, and such a
+            # 0 is accepted in 0x or 0b form
+            body = text.strip()
+            if body.startswith("-") and any(map(int, set(body[1:]) - {"_"})):
                 raise argparse.ArgumentTypeError(
-                    f"{digits} decimal digits exceed Python's limit of "
-                    f"{core._str_digit_limit()} for decimal conversion; give the "
-                    f"number in 0x or 0b form"
+                    f"must be non-negative: a numeral of {digits} decimal digits"
                 ) from None
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+            raise argparse.ArgumentTypeError(
+                f"{digits} decimal digits exceed Python's limit of "
+                f"{core._str_digit_limit()} for decimal conversion; give the "
+                f"number in 0x or 0b form"
+            ) from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative: {text!r}")
     return value
@@ -43,17 +51,20 @@ def _positive(text: str) -> int:
     return value
 
 
+def _too_wide(n: int, what: str) -> str:
+    return (
+        f"{n.bit_length()}-bit {what} has more decimal digits than "
+        f"Python's limit of {core._str_digit_limit()} for decimal conversion"
+    )
+
+
 def _fmt(n: int, binary: bool) -> str:
     if binary:
         return format(n, "b")
     try:
         return str(n)
     except ValueError:
-        raise ValueError(
-            f"{n.bit_length()}-bit result has more decimal digits than "
-            f"Python's limit of {core._str_digit_limit()} for decimal conversion; "
-            f"use --binary"
-        ) from None
+        raise ValueError(f"{_too_wide(n, 'result')}; use --binary") from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -151,13 +162,16 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     last = offset + count - 1
     limit = core._str_digit_limit()
     if limit and last >= 10**limit:
-        raise ValueError(
-            f"{last.bit_length()}-bit index has more decimal digits than "
-            f"Python's limit of {limit} for decimal conversion"
-        )
+        raise ValueError(_too_wide(last, "index"))
     terms = sequence.iter_from(sequence.term_at(offset))
     for index, value in islice(enumerate(terms, start=offset), count):
-        print(f"{index} {value}")
+        # a value is wider than its index, so it can pass the limit when the
+        # index does not; the line is formatted before any of it is printed
+        try:
+            line = f"{index} {value}"
+        except ValueError:
+            raise ValueError(_too_wide(value, "value")) from None
+        print(line)
     return 0
 
 
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check", metavar="FILE", default=None, help="compare against this b-file"
     )
-    p.set_defaults(func=_cmd_bfile)
+    p.set_defaults(func=_cmd_bfile, parser=p)
 
     p = sub.add_parser(
         "oracle-succ",
@@ -262,9 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("number", type=_natural)
     p.set_defaults(func=_cmd_oracle_succ)
-
-    for name, subparser in sub.choices.items():
-        subparser.set_defaults(parser=subparser)
     return parser
 
 

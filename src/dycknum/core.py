@@ -97,23 +97,8 @@ class NotDyckWordError(ValueError):
 # relative to the start of the byte. These are the block excess and
 # min-excess tables of range min-max trees (Navarro & Sadakane, ACM TALG
 # 2014).
-
-
-def _byte_tables() -> tuple[list[int], list[int]]:
-    # a 1-digit block is one step down or up; a block of twice the digits is
-    # its low half followed by its high half, which starts at the low half's
-    # net height
-    net, low = [-1, 1], [-1, 1]
-    for bits in (1, 2, 4):
-        values = range(1 << bits)
-        net, low = (
-            [net[lo] + net[hi] for hi in values for lo in values],
-            [min(low[lo], net[lo] + low[hi]) for hi in values for lo in values],
-        )
-    return net, low
-
-
-_NET, _LOW = _byte_tables()
+_NET = [2 * b.bit_count() - 8 for b in range(256)]
+_LOW = [min(accumulate(2 * (b >> i & 1) - 1 for i in range(8))) for b in range(256)]
 
 
 def _dip(n: int, width: int) -> int | None:

@@ -292,17 +292,30 @@ class TestBFileAtHugeOffset:
     reason="no limit on int <-> decimal text conversion",
 )
 class TestDecimalDigitLimit:
+    @staticmethod
+    def refusal(capsys, text):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["check", "--", text])
+        err = capsys.readouterr().err
+        assert exc_info.value.code == 2
+        assert "not a number" not in err
+        assert len(err.encode()) < 300
+        return err
+
     def test_long_decimal_input_is_refused_as_too_long(self, capsys):
         digits = "1" * (sys.get_int_max_str_digits() + 700)
-        for text in [digits, "-" + digits, "+" + digits]:
-            with pytest.raises(SystemExit) as exc_info:
-                main(["check", "--", text])
-            err = capsys.readouterr().err
-            assert exc_info.value.code == 2
+        # a negative zero is 0, which the hint's 0x or 0b form accepts; the
+        # Arabic-Indic zero is a zero that is not "0"
+        negative_zero = "-0_" + "\u0660" * (len(digits) - 1)
+        for text in [digits, "+" + digits, negative_zero]:
+            err = self.refusal(capsys, text)
             assert f"{len(digits)} decimal digits exceed" in err
             assert "0x or 0b form" in err
-            assert "not a number" not in err
-            assert len(err.encode()) < 300
+        err = self.refusal(capsys, "-" + digits)
+        assert err.endswith(
+            f"must be non-negative: a numeral of {len(digits)} decimal digits\n"
+        )
+        assert "0x or 0b form" not in err
 
     def test_same_size_in_hex_is_accepted(self, capsys):
         hex_digits = "f" * (sys.get_int_max_str_digits() + 700)
@@ -355,6 +368,19 @@ class TestDecimalDigitLimit:
         code, out, err = run(capsys, "bfile", "--offset", hex(widest - 1), "--count", "3")
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {(widest + 1).bit_length()}-bit index has more")
+
+    def test_bfile_value_past_the_limit_is_refused(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        wide = core.mersenne(4 * limit)
+        refusal = (
+            f"error: {4 * limit}-bit value has more decimal digits than Python's "
+            f"limit of {limit} for decimal conversion\n"
+        )
+        monkeypatch.setattr(sequence, "term_at", lambda n: wide)
+        assert run(capsys, "bfile", "--offset", "5", "--count", "2") == (1, "", refusal)
+        # the lines before it are printed whole, and none of its line
+        monkeypatch.setattr(sequence, "iter_from", lambda d: iter([7, wide]))
+        assert run(capsys, "bfile", "--offset", "5", "--count", "2") == (1, "5 7\n", refusal)
 
 
 class TestOracleSucc:
