@@ -158,7 +158,7 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
     count = 20 if args.count is None else args.count
     offset = 1 if args.offset is None else args.offset
     # indices print in decimal: refuse one too long for that before
-    # computing a term, which at that size takes a minute or more
+    # computing any term
     last = offset + count - 1
     limit = core._str_digit_limit()
     if limit and last >= 10**limit:

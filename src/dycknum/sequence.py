@@ -8,17 +8,19 @@ that never goes below 0; every such walk occurs. Range k therefore holds
 C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
 
 term_at and index_of rank and unrank exactly by counting those walks
-with ballot numbers, so an ordinal costs O(k) binomial coefficients and
-no successor steps.
+with ballot numbers. Each count is stepped from the one before by one
+multiply and one exact divide by small integers, and the lowest 12
+digits are read from the block tables below, so an ordinal costs O(k)
+such steps and no successor steps.
 
 iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
 by every low block whose walk ends high enough to carry it, taken in
 order from a table; the high part 0 takes the 989 Dyck numbers below
 2**12 from a table of their own. The tables (5,085 entries) are built on
-the first enumeration, not at import. range_stats and verify_conjecture
-count each range by this enumeration, which stops at the range's last
-term by value, independently of the ballot counts.
+the first enumeration or ranking, not at import. range_stats and
+verify_conjecture count each range by this enumeration, which stops at
+the range's last term by value, independently of the ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -185,41 +187,69 @@ def verify_conjecture(max_k: int) -> list[RangeStats]:
 def _completions(r: int, need: int) -> int:
     # nonnegative walks of r steps that end at height >= need; the ballot
     # numbers C(r,(r+h)/2) - C(r,(r+h)/2+1) summed over h >= need
-    # telescope to one binomial, which is 0 once need > r
+    # telescope to one binomial, which is 0 once need > r. term_at and
+    # index_of step these counts instead; the tests hold them to this
     return comb(r, (r + need + 1) // 2)
+
+
+def _ranges() -> Iterator[tuple[int, int]]:
+    # (m, C(m, m // 2)) for m = _B, _B + 1, ...: the ranges whose terms
+    # have m digits below the leading 1, with their sizes, each stepped
+    # from the one before: C(m + 1, (m + 1) // 2) is C(m, m // 2) times
+    # (m + 1)/(m/2 + 1) for even m and times 2 for odd m
+    m, size = _B, comb(_B, _B // 2)
+    while True:
+        yield m, size
+        size = size * 2 if m % 2 else size * (m + 1) // (m // 2 + 1)
+        m += 1
 
 
 def term_at(i: int) -> int:
     """The i-th Dyck number, 1-based, with term_at(1) = 0.
 
-    Whole ranges are skipped by their exact sizes, then the digits below
-    the leading 1 are chosen from the top down: a 0 is kept while the
-    rank left is below the number of walks that complete it. The cost
-    is O(bit length) binomial coefficients.
+    The terms below 2**12 come from a table. Above it, whole ranges are
+    skipped by their exact sizes, then the digits below the leading 1
+    are chosen from the top down: a 0 is kept while the rank left is
+    below the number of walks that complete it, and the last 12 digits
+    are read from the table of low blocks. Each count is stepped from
+    the one before by one multiply and one exact divide by small
+    integers, so a k-bit term costs O(k) such steps on numbers of at
+    most k bits.
     """
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
-    if i == 1:
-        return 0
-    rank = i - 2
-    k = 1
-    while rank >= (size := _completions(k - 1, 0)):
+    small, tails = _tables()
+    if i <= len(small):
+        return small[i - 1]
+    rank = i - 1 - len(small)
+    for m, size in _ranges():
+        if rank < size:
+            break
         rank -= size
-        k += 1
     d = 1
     # least end height the free low digits need so that the digits fixed
     # above them stay on or above ground
     need = 0
-    for r in range(k - 2, -1, -1):
-        with_zero = _completions(r, need + 1)
-        if rank < with_zero:
+    # c = C(r, j) on entry to the digit with r - 1 digits below it, at
+    # first the range size C(m, (m + 1) // 2). The terms that carry a 0 in
+    # that digit number _completions(r - 1, need + 1) = C(r - 1, j') with
+    # j' = (r + need + 1) // 2, which is j or j - 1: C(r, j)(r - j)/r or
+    # C(r, j)j/r
+    j, c = (m + 1) // 2, size
+    for r in range(m, _B, -1):
+        if (r + need + 1) // 2 == j:
+            c = c * (r - j) // r
+        else:
+            c = c * j // r
+            j -= 1
+        if rank < c:
             d <<= 1
             need += 1
         else:
-            rank -= with_zero
+            rank -= c
             d = d << 1 | 1
             need = max(0, need - 1)
-    return d
+    return d << _B | tails[need][rank]
 
 
 def index_of(d: int) -> int:
@@ -227,22 +257,33 @@ def index_of(d: int) -> int:
 
     The ordinal is the exact count of Dyck numbers below d plus one:
     the sizes of the shorter ranges, then, at each 1-digit of d below its
-    leading 1, the terms that carry a 0 there instead. Raises
-    NotDyckNumberError for non-Dyck input.
+    leading 1, the terms that carry a 0 there instead, stepped as in
+    term_at; terms below 2**12 and the last 12 digits are placed in
+    their tables by bisection. Raises NotDyckNumberError for non-Dyck
+    input.
     """
     core._require_dyck(d)
-    if d == 0:
-        return 1
-    k = d.bit_length()
-    ordinal = 2 + sum(_completions(r, 0) for r in range(k - 1))
+    small, tails = _tables()
+    if d >> _B == 0:
+        return bisect_left(small, d) + 1
+    top = d.bit_length() - 1
+    ordinal = len(small) + 1
+    for m, size in _ranges():
+        if m == top:
+            break
+        ordinal += size
     need = 0
-    r = k - 1
-    for bit in bin(d)[3:]:
-        r -= 1
+    # c and j as in term_at
+    j, c = (m + 1) // 2, size
+    for r, bit in zip(range(m, _B, -1), bin(d)[3 : 3 + m - _B]):
+        if (r + need + 1) // 2 == j:
+            c = c * (r - j) // r
+        else:
+            c = c * j // r
+            j -= 1
         if bit == "1":
-            ordinal += _completions(r, need + 1)
+            ordinal += c
             need = max(0, need - 1)
         else:
             need += 1
-    return ordinal
-
+    return ordinal + bisect_left(tails[need], d & ((1 << _B) - 1))

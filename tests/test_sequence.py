@@ -1,5 +1,6 @@
 """Unit tests for enumeration, ranges, and ordinal indexing."""
 
+import random
 from itertools import islice
 
 import pytest
@@ -338,3 +339,92 @@ class TestBlockWalk:
     def test_from_wide_starts(self, bits, rng):
         lo = sequence.index_of(core.mersenne_successor(bits - 1))
         self._agrees(sequence.term_at(rng.randrange(lo, 2 * lo)), count=2000)
+
+
+def _per_digit_term_at(i):
+    # the ranking by definition: one _completions count per range skipped
+    # and per digit chosen, with no table and no stepped count
+    if i == 1:
+        return 0
+    rank, k = i - 2, 1
+    while rank >= (size := sequence._completions(k - 1, 0)):
+        rank -= size
+        k += 1
+    d, need = 1, 0
+    for r in range(k - 2, -1, -1):
+        with_zero = sequence._completions(r, need + 1)
+        if rank < with_zero:
+            d, need = d << 1, need + 1
+        else:
+            rank -= with_zero
+            d, need = d << 1 | 1, max(0, need - 1)
+    return d
+
+
+def _per_digit_index_of(d):
+    if d == 0:
+        return 1
+    k = d.bit_length()
+    ordinal = 2 + sum(sequence._completions(r, 0) for r in range(k - 1))
+    need = 0
+    for r, bit in zip(range(k - 2, -1, -1), bin(d)[3:]):
+        if bit == "1":
+            ordinal += sequence._completions(r, need + 1)
+            need = max(0, need - 1)
+        else:
+            need += 1
+    return ordinal
+
+
+def _dp_count_up_to(d):
+    # Dyck numbers n <= d, counted digit by digit from the low end with no
+    # binomials: le[h] and gt[h] count the walks of the digits so far that
+    # end at height h, split by whether those digits of n are <= d's
+    le, gt = [1], [0]
+    count = 1  # n = 0
+    k = d.bit_length()
+    for p in range(k):
+        bit = d >> p & 1
+        # a 1 steps up from h - 1, a 0 steps down from h + 1
+        up_le, up_gt = [0] + le, [0] + gt
+        down_le, down_gt = le[1:] + [0, 0], gt[1:] + [0, 0]
+        if bit:
+            # a 1 here keeps the comparison, a 0 here makes n's digits smaller
+            new_le = [u + a + b for u, a, b in zip(up_le, down_le, down_gt)]
+            new_gt = up_gt
+        else:
+            new_le = down_le
+            new_gt = [u + a + b for u, a, b in zip(down_gt, up_le, up_gt)]
+        # n may end with the 1 just placed: shorter than d, or as long and <= d
+        count += sum(up_le) + (sum(up_gt) if p < k - 1 else 0)
+        le, gt = new_le, new_gt
+    return count
+
+
+class TestSteppedRanking:
+    """term_at and index_of step their counts; check them against the definition."""
+
+    @given(st.integers(0, 400).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1)))
+    @settings(deadline=None, max_examples=150)
+    def test_term_at_against_per_digit_counts(self, i):
+        assert sequence.term_at(i) == _per_digit_term_at(i)
+
+    @given(high_parts(floor=0, max_bits=400))
+    @settings(deadline=None, max_examples=150)
+    def test_index_of_against_per_digit_counts(self, d):
+        assert sequence.index_of(d) == _per_digit_index_of(d)
+
+    @pytest.mark.parametrize("bits", [1000, 2000, 4000])
+    def test_wide_round_trips(self, bits):
+        i = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+        d = sequence.term_at(i)
+        assert sequence.index_of(d) == i
+        assert sequence.term_at(i + 1) == core.successor(d)
+
+    def test_1000_bit_ordinal_against_a_digit_dp(self):
+        i = random.Random(1).getrandbits(1000) | 1 << 999
+        d = sequence.term_at(i)
+        # i Dyck numbers up to d and i - 1 below it: d is the i-th
+        assert _dp_count_up_to(d) == i
+        assert _dp_count_up_to(d - 1) == i - 1
+        assert sequence.index_of(d) == i
