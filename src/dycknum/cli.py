@@ -112,7 +112,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
         print(_fmt(core.to_standard_code(args.number), args.binary))
     else:  # heights, shown most significant digit first
         profile = core.height_profile(args.number)
-        print(" ".join(str(h) for h in reversed(profile)))
+        print(" ".join(map(str, reversed(profile))))
     return 0
 
 

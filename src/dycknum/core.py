@@ -18,7 +18,9 @@ read that path from the low end a byte per step: two 256-entry tables
 built at import give each byte's net height change and its lowest height.
 Membership stops at the first byte in which the path dips below ground
 and walks only that byte digit by digit; the successor and the valley
-depth need just the lowest point of a path.
+depth need just the lowest point of a path. The height profile, after
+the membership scan, is one C-level pass over the digits: each becomes a
+signed byte step, and the running sums are taken over those bytes.
 
 All functions are pure and operate on plain ``int`` values of any size.
 """
@@ -36,6 +38,8 @@ _STEPS_TO_BITS = str.maketrans(UP + DOWN, "01")
 _WORD_TO_WALK = bytes(
     ord("1") if c == ord(UP) else ord("0") if c == ord(DOWN) else ord("x") for c in range(256)
 )
+# a binary digit as a signed byte step: "1" -> +1, "0" -> -1 (0xff)
+_DIGIT_STEPS = bytes.maketrans(b"01", b"\xff\x01")
 
 
 # Refusals name a value in decimal only up to this many bits. Past it the
@@ -203,7 +207,9 @@ def height_profile(d: int) -> list[int]:
     _require_dyck(d)
     if d == 0:
         return []
-    return list(accumulate(1 if bit == "1" else -1 for bit in bin(d)[:1:-1]))
+    # the digits low first, mapped to one signed byte each and summed in C
+    steps = bin(d)[:1:-1].encode().translate(_DIGIT_STEPS)
+    return list(accumulate(memoryview(steps).cast("b")))
 
 
 def valley_depth(d: int) -> int | None:

@@ -17,10 +17,12 @@ iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
 by every low block whose walk ends high enough to carry it, taken in
 order from a table; the high part 0 takes the 989 Dyck numbers below
-2**12 from a table of their own. The tables (5,085 entries) are built on
-the first enumeration or ranking, not at import. range_stats and
-verify_conjecture count each range by this enumeration, which stops at
-the range's last term by value, independently of the ballot counts.
+2**12 from a table of their own. The tables (3,499 distinct entries: 989
+small terms and 2,510 low blocks, since each odd row of low blocks is
+the even row after it) are built on the first enumeration or ranking,
+not at import. range_stats and verify_conjecture count each range by
+this enumeration, which stops at the range's last term by value,
+independently of the ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -73,8 +75,16 @@ def _tables() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         # 1, which steps up from h - 1; at[h + 1] is ends[h], or empty
         at = [[]] + ends + [[], []]
         ends = [at[h + 2] + list(map(up, at[h])) for h in range(j + 2)]
-    tails = tuple(tuple(sorted(chain.from_iterable(ends[need:]))) for need in range(_B + 1))
-    return tuple(small), tails
+    # a _B-digit walk ends at a height of _B's parity, so every other need
+    # has no walks of its own and its row is the row of need + 1, the same
+    # tuple; each other row merges its own walks into the row of need + 1
+    tails = []
+    row: tuple[int, ...] = ()
+    for need in range(_B, -1, -1):
+        if ends[need]:
+            row = tuple(sorted(ends[need] + list(row)))
+        tails.append(row)
+    return tuple(small), tuple(reversed(tails))
 
 
 def _next_high(high: int) -> tuple[int, int]:

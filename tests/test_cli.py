@@ -115,6 +115,17 @@ class TestConvert:
     def test_heights(self, capsys):
         assert run(capsys, "convert", "5", "--to", "heights")[:2] == (0, "1 0 1\n")
 
+    def test_wide_heights_in_hex(self, capsys):
+        # a 10**4-bit member: 5001 ones over pairs of a 0 and a 1 over a 1
+        d = core.mersenne(5001) << 4999 | int("01" * 2499 + "1", 2)
+        heights, h = [], 0
+        for digit in bin(d)[:1:-1]:
+            h += 1 if digit == "1" else -1
+            heights.append(h)
+        assert min(heights) >= 0 and d.bit_length() == 10**4
+        expected = " ".join(str(h) for h in reversed(heights)) + "\n"
+        assert run(capsys, "convert", hex(d), "--to", "heights") == (0, expected, "")
+
     def test_standard(self, capsys):
         assert run(capsys, "convert", "3", "--to", "standard")[:2] == (0, "12\n")
         assert run(capsys, "convert", "3", "--to", "standard", "--binary")[:2] == (
@@ -469,7 +480,7 @@ class TestStartUp:
             "import sys\n"
             "before = set(sys.modules)\n"
             "import dycknum, dycknum.cli\n"
-            "print(sorted({'typing', 'pathlib', 'logging'} & (set(sys.modules) - before)))\n"
+            "print(sorted({'typing', 'pathlib', 'logging', 'array'} & (set(sys.modules) - before)))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -50,6 +50,33 @@ class TestRepunitSuffix:
             core.repunit_suffix_len(-3)
 
 
+def _random_member(rng, width):
+    # a width-bit Dyck number: random steps from the low end, an up step
+    # wherever the walk stands on the ground, and the leading 1 on top
+    d = h = 0
+    for p in range(width - 1):
+        bit = 1 if h == 0 else rng.getrandbits(1)
+        d |= bit << p
+        h += 1 if bit else -1
+    return d | 1 << (width - 1)
+
+
+def _dip_on_top(d):
+    # d's path ends at height 2 * d.bit_count() - d.bit_length(), so zeros
+    # above it take the path to -1 at digit 2 * d.bit_count(); a leading 1
+    # follows
+    return 1 << (2 * d.bit_count() + 1) | d
+
+
+def _recount(d):
+    # entry p: ones minus zeros among bit positions 0..p, one digit at a time
+    heights, h = [], 0
+    for digit in bin(d)[:1:-1]:
+        h += 1 if digit == "1" else -1
+        heights.append(h)
+    return heights
+
+
 class TestHeightProfile:
     def test_small(self):
         assert core.height_profile(5) == [1, 0, 1]
@@ -75,6 +102,40 @@ class TestHeightProfile:
                 for p in range(len(bits))
             ]
             assert core.height_profile(d) == expected
+
+    def test_mersenne_profile_climbs_past_a_signed_byte(self):
+        # the steps are signed bytes, but the running sums must not wrap at 127
+        assert core.height_profile(2**300 - 1) == list(range(1, 301))
+
+    @pytest.mark.parametrize(
+        "width", [*range(1, 67), 127, 128, 129, 255, 256, 257, 10**4, 10**5]
+    )
+    def test_matches_a_per_bit_recount(self, width):
+        rng = random.Random(width)
+        for d in (core.mersenne(width), *(_random_member(rng, width) for _ in range(3))):
+            assert core.height_profile(d) == _recount(d), width
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            _random_member(random.Random(1), 10**4) << 1,
+            # up 3 steps, then down through the second byte
+            _random_member(random.Random(2), 10**4) << 12 | 0b111,
+            # up 4999 steps, then 5002 down: the dip is at digit 9999 of 10002
+            1 << 10001 | core.mersenne(4999),
+            _dip_on_top(_random_member(random.Random(3), 10**4)),
+        ],
+        ids=["first-digit", "second-byte", "digit-9999", "top-digit"],
+    )
+    def test_wide_refusals_name_the_violating_suffix(self, n):
+        heights = _recount(n)
+        dip = next(p for p, h in enumerate(heights) if h < 0)
+        with pytest.raises(core.NotDyckNumberError) as exc_info:
+            core.height_profile(n)
+        assert exc_info.value.suffix == core.violating_suffix(n)
+        assert exc_info.value.suffix == bin(n)[-(dip + 1) :]
+        assert exc_info.value.value == n
+
 
 
 class TestValleyDepth:

@@ -230,6 +230,13 @@ class TestBlockWalk:
         for need, tail in enumerate(tails):
             assert list(tail) == sorted(w for w, end in ends.items() if end >= need)
 
+    def test_odd_rows_are_the_even_rows_after_them(self):
+        # a 12-digit walk ends at an even height, so no walk ends at 2t - 1
+        tails = sequence._tables()[1]
+        for t in range(1, sequence._B // 2 + 1):
+            assert tails[2 * t - 1] is tails[2 * t], t
+        assert len({id(row) for row in tails}) == sequence._B // 2 + 1
+
     def test_high_part_successor_against_a_search(self):
         # every Dyck number and every valid high part below 2**13: the Dyck
         # successor, and the block walk's step with its table row
