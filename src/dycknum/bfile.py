@@ -14,8 +14,8 @@ compare tests equal spans with one tuple comparison.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import compress, count
 from operator import eq, ne
 
@@ -34,12 +34,43 @@ class BFileParseError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
-@dataclass(frozen=True)
 class BFile:
-    """Parsed b-file: consecutive indices from offset, one value each."""
+    """Parsed b-file: consecutive indices from offset, one value each.
+
+    Immutable; equal when both fields are, and copied or pickled by them.
+    """
+
+    __slots__ = ("offset", "values")
+    __match_args__ = __slots__
 
     offset: int
     values: tuple[int, ...]
+
+    def __init__(self, offset: int, values: tuple[int, ...]):
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.offset, self.values) == (other.offset, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.offset, self.values))
+
+    def __repr__(self) -> str:
+        name = type(self).__qualname__
+        return f"{name}(offset={self.offset!r}, values={self.values!r})"
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__, since __setattr__ refuses
+        return type(self), (self.offset, self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -177,13 +208,16 @@ def emit_bfile(terms: Iterable[int], offset: int = 1) -> str:
     return ("%d %d\n" * size) % tuple(fields)
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    """Outcome of comparing two b-files over their shared index span."""
+class DiffReport(
+    namedtuple("DiffReport", "verdict compared_count first_mismatch", defaults=(None,))
+):
+    """Outcome of comparing two b-files over their shared index span.
 
-    verdict: str  # MATCH, MISMATCH, or LENGTH_DIFFERS
-    compared_count: int
-    first_mismatch: tuple[int, int, int] | None = None  # (index, expected, actual)
+    verdict is MATCH, MISMATCH or LENGTH_DIFFERS; first_mismatch is
+    (index, expected, actual), or None when no shared value differs.
+    """
+
+    __slots__ = ()
 
 
 def compare(generated: BFile, reference: BFile) -> DiffReport:

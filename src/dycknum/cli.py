@@ -13,7 +13,9 @@ import os
 import sys
 from itertools import islice
 
-from . import __version__, bfile, core, oracle, sequence
+# a handler imports the other submodules it uses, so that a process loads
+# only what its subcommand runs
+from . import __version__, core
 
 
 def _natural(text: str) -> int:
@@ -77,12 +79,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_succ(args: argparse.Namespace) -> int:
+    from . import sequence
+
     for value in islice(sequence.iter_from(args.number), 1, args.count + 1):
         print(_fmt(value, args.binary))
     return 0
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
+    from . import sequence
+
     if args.list:
         line = " ".join(_fmt(d, args.binary) for d in sequence.iter_range(args.k))
         print(line)
@@ -97,6 +103,8 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import sequence
+
     start = args.start
     if args.skip_zero and start == 0:
         start = 1
@@ -117,6 +125,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
+    from . import sequence
+
     all_match = True
     for k in range(1, args.max_range + 1):
         stats = sequence.range_stats(k)
@@ -131,6 +141,8 @@ def _cmd_verify_conjecture(args: argparse.Namespace) -> int:
 
 
 def _cmd_bfile(args: argparse.Namespace) -> int:
+    from . import bfile, sequence
+
     if args.check is not None:
         if args.count is not None or args.offset is not None:
             args.parser.error("--check cannot be combined with --count/--offset")
@@ -176,6 +188,8 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_succ(args: argparse.Namespace) -> int:
+    from . import oracle
+
     print(_fmt(oracle.brute_successor(args.number), args.binary))
     return 0
 

@@ -31,8 +31,8 @@ A036991 b-file (term 13496 is 65535).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 from math import comb
@@ -150,15 +150,10 @@ def range_terms(k: int, *, allow_zero_range: bool = False) -> list[int]:
     return list(iter_range(k))
 
 
-@dataclass(frozen=True)
-class RangeStats:
+class RangeStats(namedtuple("RangeStats", "k first last size expected")):
     """Counted versus expected size of one range of Dyck numbers."""
 
-    k: int
-    first: int
-    last: int
-    size: int
-    expected: int
+    __slots__ = ()
 
     @property
     def matches(self) -> bool:

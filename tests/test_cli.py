@@ -471,29 +471,65 @@ class TestBrokenPipe:
 
 
 class TestStartUp:
-    def test_import_loads_no_typing_pathlib_or_logging(self):
-        # -S, since a site module may preload some of these itself
+    @staticmethod
+    def probe(code):
+        # -S, since a site module may preload some modules itself
         import os
         import subprocess
 
-        probe = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "import dycknum, dycknum.cli\n"
-            "print(sorted({'typing', 'pathlib', 'logging', 'array'} & (set(sys.modules) - before)))\n"
-        )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
         )
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", probe],
+            [sys.executable, "-S", "-c", code],
             capture_output=True,
             text=True,
             env=env,
             timeout=60,
         )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_import_loads_no_typing_pathlib_or_logging(self):
+        unwanted = {
+            "typing",
+            "pathlib",
+            "logging",
+            "array",
+            "dataclasses",
+            "inspect",
+            "dycknum.bfile",
+            "dycknum.sequence",
+            "dycknum.oracle",
+        }
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import dycknum, dycknum.cli\n"
+            f"print(sorted({unwanted!r} & (set(sys.modules) - before)))\n"
+        )
+        assert self.probe(probe) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, out, loaded",
+        [
+            (["check", "21"], "yes\n", ["dycknum.cli", "dycknum.core"]),
+            (
+                ["bfile", "--count", "3"],
+                "1 0\n2 1\n3 3\n",
+                ["dycknum.bfile", "dycknum.cli", "dycknum.core", "dycknum.sequence"],
+            ),
+        ],
+        ids=["check", "bfile"],
+    )
+    def test_subcommand_loads_only_what_it_runs(self, argv, out, loaded):
+        probe = (
+            "import sys\n"
+            "from dycknum import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('dycknum.')))\n"
+        )
+        assert self.probe(probe) == (0, f"{out}0 {loaded}\n", "")
 
 
 class TestDeterminism:
