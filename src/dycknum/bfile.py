@@ -5,11 +5,11 @@ with '#' comment lines and blank lines ignored. Output always uses \\n
 line endings and ends with a newline; input accepts \\r\\n too. There is
 no network code here: reference files are supplied locally.
 
-Text in the form emit_bfile writes, after any leading comment lines, is
-parsed in bulk, a chunk of lines at a time; any other text goes to a
-line-by-line loop, which gives the same result and names the line of
-any error. emit_bfile renders all lines with one format operation, and
-compare tests equal spans with one tuple comparison.
+emit_bfile defines the canonical form, all lines in one format operation.
+Text that it writes back byte for byte, after any leading comment lines,
+is parsed in bulk, a chunk at a time; any other text goes to a line loop,
+which gives the same result and names the line of any error. compare
+tests equal spans with one tuple comparison.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import compress, count
-from operator import eq, ne
+from operator import ne
 
 from . import core
 
@@ -103,16 +103,15 @@ def parse_bfile(text: str | Iterable[str]) -> BFile:
 
 # Bulk parsing reads the data lines in chunks of about this many
 # characters, cut after a newline, so that the bytes copy and the token
-# list of one chunk stay small beside the parsed values.
+# list of one chunk stay small beside the parsed values; emit_bfile must
+# write each chunk's values back to it byte for byte.
 _CHUNK = 1 << 16
-_DIGITS = b"0123456789"
 
 
 def _parse_canonical(text: str) -> BFile | None:
     # The BFile of a text made of leading '#' lines and then nothing but
-    # "index value\n" lines in ASCII digits with consecutive indices, which
-    # is what emit_bfile writes; None for any other text, which the line
-    # loop then parses or refuses with its line number.
+    # lines that emit_bfile writes, with no minus sign; None for any other
+    # text, which the line loop then parses or refuses with its line number.
     pos = 0
     while text.startswith("#", pos):
         pos = text.find("\n", pos) + 1
@@ -122,29 +121,25 @@ def _parse_canonical(text: str) -> BFile | None:
     if len(text[:pos].splitlines()) != text.count("\n", 0, pos):
         return None
     values: list[int] = []
-    offset = index = None
+    offset = None
     while pos < len(text):
         end = text.rfind("\n", pos, pos + _CHUNK) + 1 or text.find("\n", pos + _CHUNK) + 1
         if not end:
             return None
+        part = text[pos:end]
         try:
-            raw = text[pos:end].encode("ascii")
-            lines = raw.count(b"\n")
-            tokens = raw.split()
-            # deleting the digits leaves one space and one newline per line,
-            # and two tokens per line rule out an empty token beside a space
-            if raw.translate(None, _DIGITS) != b" \n" * lines or len(tokens) != 2 * lines:
+            tokens = part.encode("ascii").split()
+            if offset is None:
+                offset = int(tokens[0])
+            chunk = tuple(map(int, tokens[1::2]))
+            # the line loop refuses a negative value
+            if "-" in part or emit_bfile(chunk, offset + len(values)) != part:
                 return None
-            if index is None:
-                offset = index = int(tokens[0])
-            if not all(map(eq, map(int, tokens[::2]), range(index, index + lines))):
-                return None
-            values.extend(map(int, tokens[1::2]))
-        except ValueError:
-            # a character outside ASCII, or more digits than Python's limit
-            # on decimal text conversion
+        except (IndexError, ValueError):
+            # no token, a character outside ASCII, or a number read or written
+            # with more digits than Python's limit on decimal text conversion
             return None
-        index += lines
+        values += chunk
         pos = end
     if offset is None:
         return None
@@ -197,7 +192,8 @@ def emit_bfile(terms: Iterable[int], offset: int = 1) -> str:
     """Render terms as canonical b-file text.
 
     One "index value" line per term, indices counting up from offset,
-    each line newline-terminated. Deterministic: equal inputs give
+    each line newline-terminated: the canonical form, the only text that
+    parse_bfile parses in bulk. Deterministic: equal inputs give
     byte-identical output. An empty sequence yields the empty string.
     """
     values = tuple(terms)

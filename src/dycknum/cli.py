@@ -167,23 +167,26 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         index, expected, actual = report.first_mismatch
         print(f"mismatch at index {index}: expected {expected}, got {actual}")
         return 1
+    from bisect import bisect_left
+
     count = 20 if args.count is None else args.count
     offset = 1 if args.offset is None else args.offset
     # indices print in decimal: refuse one too long for that before
     # computing any term
     last = offset + count - 1
     limit = core._str_digit_limit()
-    if limit and last >= 10**limit:
+    bound = 10**limit if limit else float("inf")
+    if last >= bound:
         raise ValueError(_too_wide(last, "index"))
-    terms = sequence.iter_from(sequence.term_at(offset))
-    for index, value in islice(enumerate(terms, start=offset), count):
-        # a value is wider than its index, so it can pass the limit when the
-        # index does not; the line is formatted before any of it is printed
-        try:
-            line = f"{index} {value}"
-        except ValueError:
-            raise ValueError(_too_wide(value, "value")) from None
-        print(line)
+    terms = islice(sequence.iter_from(sequence.term_at(offset)), count)
+    for index in range(offset, last + 1, 4096):
+        chunk = tuple(islice(terms, 4096))
+        # values ascend and can pass the limit where their indices do not:
+        # write the lines before the first that does, then refuse it
+        cut = bisect_left(chunk, bound)
+        sys.stdout.write(bfile.emit_bfile(chunk[:cut], index))
+        if cut < len(chunk):
+            raise ValueError(_too_wide(chunk[cut], "value"))
     return 0
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from dycknum import bfile, sequence
 
 SAMPLE = "1 0\n2 1\n3 3\n"
+# Python's limit on int <-> decimal text conversion, 0 for none
+_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
 
 
 class TestParse:
@@ -257,6 +259,24 @@ class TestBulkPath:
         ],
     )
     def test_header_the_bulk_path_leaves_to_the_line_loop(self, text):
+        assert bfile._parse_canonical(text) is None
+        assert _outcome(bfile.parse_bfile, text) == _outcome(_line_loop, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "01 0\n02 1\n",  # an index with a leading zero
+            "1 0\n2 01\n",  # a value with a leading zero
+            "+1 0\n2 +1\n",
+            "1 0\n2 1_0\n",
+            "1  0\n2  1\n",  # a double space
+            "-1 0\n0 1\n",  # a negative index
+            "1 0\n2 -1\n",  # a negative value
+            # the second index one digit past Python's limit on decimal text
+            pytest.param(f"{'9' * _LIMIT} 0\n1{'0' * _LIMIT} 1\n", id="index past the limit"),
+        ],
+    )
+    def test_text_emit_bfile_would_not_write_goes_to_the_line_loop(self, text):
         assert bfile._parse_canonical(text) is None
         assert _outcome(bfile.parse_bfile, text) == _outcome(_line_loop, text)
 

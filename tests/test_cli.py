@@ -187,6 +187,16 @@ class TestBFileCommand:
         _, out, _ = run(capsys, "bfile", "--count", "2", "--offset", "14")
         assert out == "14 31\n15 39\n"
 
+    @pytest.mark.parametrize("offset", [1, 10**18])
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 9000])
+    def test_chunked_emission_is_emit_bfile(self, capsys, count, offset):
+        # lines are written 4,096 at a time
+        from itertools import islice
+
+        terms = islice(sequence.iter_from(sequence.term_at(offset)), count)
+        argv = ["bfile", "--count", str(count), "--offset", str(offset)]
+        assert run(capsys, *argv) == (0, bfile.emit_bfile(terms, offset), "")
+
     def test_check_match(self, capsys, tmp_path):
         from itertools import islice
 
@@ -393,6 +403,20 @@ class TestDecimalDigitLimit:
         monkeypatch.setattr(sequence, "iter_from", lambda d: iter([7, wide]))
         assert run(capsys, "bfile", "--offset", "5", "--count", "2") == (1, "5 7\n", refusal)
 
+    def test_bfile_value_past_the_limit_in_the_second_chunk(self, capsys, monkeypatch):
+        from itertools import chain
+
+        limit = sys.get_int_max_str_digits()
+        wide = core.mersenne(4 * limit)
+        monkeypatch.setattr(sequence, "iter_from", lambda d: chain(range(4100), [wide]))
+        code, out, err = run(capsys, "bfile", "--offset", "5", "--count", "9000")
+        # the 4,100 lines before it are printed whole, and none of its line
+        assert (code, out) == (1, bfile.emit_bfile(range(4100), offset=5))
+        assert err == (
+            f"error: {4 * limit}-bit value has more decimal digits than Python's "
+            f"limit of {limit} for decimal conversion\n"
+        )
+
 
 class TestOracleSucc:
     def test_value(self, capsys):
@@ -448,8 +472,10 @@ class TestBrokenPipe:
         assert proc.stdout.split() == ["0", "1", "3"]
         assert proc.stderr == ""
 
-    def test_reader_closing_the_pipe_ends_the_run_cleanly(self):
-        # the pipeline above reports head's exit status; this reads dyck's
+    @staticmethod
+    def read_one_line_and_close(*argv):
+        # the first line, then dyck's exit status and stderr once the reader
+        # has gone
         import os
         import subprocess
 
@@ -458,16 +484,26 @@ class TestBrokenPipe:
             filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "dycknum.cli", "enumerate", "--count", "200000"],
+            [sys.executable, "-m", "dycknum.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
-        assert proc.stdout.readline() == b"0\n"
+        line = proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
-        assert (proc.wait(timeout=60), err) == (0, b"")
+        return line, proc.wait(timeout=60), err
+
+    def test_reader_closing_the_pipe_ends_the_run_cleanly(self):
+        # the pipeline above reports head's exit status; this reads dyck's
+        argv = ["enumerate", "--count", "200000"]
+        assert self.read_one_line_and_close(*argv) == (b"0\n", 0, b"")
+
+    def test_reader_closing_the_pipe_ends_a_bfile_run_cleanly(self):
+        # dyck bfile writes 4,096 lines at a time
+        argv = ["bfile", "--count", "200000"]
+        assert self.read_one_line_and_close(*argv) == (b"1 0\n", 0, b"")
 
 
 class TestStartUp:
