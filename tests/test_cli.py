@@ -422,6 +422,18 @@ class TestOracleSucc:
     def test_value(self, capsys):
         assert run(capsys, "oracle-succ", "31")[:2] == (0, "39\n")
 
+    def test_refused_past_the_candidate_cap(self, capsys):
+        from dycknum import oracle
+
+        # the successor of 2**40 - 1 lies 2**19 odd candidates up
+        code, out, err = run(capsys, "oracle-succ", str((1 << 40) - 1))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: brute_successor found no Dyck number in the "
+            f"{oracle.SUCCESSOR_CANDIDATE_CAP} odd candidates above a 40-bit "
+            f"number; pass force=True if you really want to scan further\n"
+        )
+
 
 class TestParsing:
     def test_version(self, capsys):

@@ -21,6 +21,27 @@ class TestBruteSuccessor:
         with pytest.raises(core.NotDyckNumberError):
             oracle.brute_successor(9)
 
+    def test_cap_counts_candidates(self, monkeypatch):
+        # 39 is the fourth odd candidate after 31
+        monkeypatch.setattr(oracle, "SUCCESSOR_CANDIDATE_CAP", 4)
+        assert oracle.brute_successor(31) == 39
+        monkeypatch.setattr(oracle, "SUCCESSOR_CANDIDATE_CAP", 3)
+        with pytest.raises(ValueError, match="in the 3 odd candidates"):
+            oracle.brute_successor(31)
+        assert oracle.brute_successor(31, force=True) == 39
+
+    def test_refuses_past_the_candidate_cap(self):
+        # 2**40 - 1 is followed by 2**19 odd candidates, twice the cap, so
+        # a scan without the cap ends too, and this test then fails
+        with pytest.raises(ValueError, match="force=True") as exc_info:
+            oracle.brute_successor(core.mersenne(40))
+        assert str(oracle.SUCCESSOR_CANDIDATE_CAP) in str(exc_info.value)
+
+    def test_cap_admits_every_scan_below_2_to_24(self):
+        # 2**24 - 1 is followed by 2**11 candidates, the most below 2**24
+        d = core.mersenne(24)
+        assert oracle.brute_successor(d) == core.mersenne_successor(24)
+
     def test_agrees_with_closed_form_below_4096(self):
         d = 0
         while d < 4096:

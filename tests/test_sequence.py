@@ -302,6 +302,11 @@ class TestBlockWalk:
             "assert sequence._tables.cache_info().currsize == 1\n"
             "next(sequence.iter_from(1 << 20 | 4095))\n"
             "assert sequence._tables.cache_info().currsize == 1\n"
+            # the first-rank table is built past the 989 small terms only
+            "sequence.index_of(sequence.term_at(989))\n"
+            "assert sequence._firsts.cache_info().currsize == 0\n"
+            "sequence.term_at(990)\n"
+            "assert sequence._firsts.cache_info().currsize == 1\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
@@ -435,3 +440,105 @@ class TestSteppedRanking:
         assert _dp_count_up_to(d) == i
         assert _dp_count_up_to(d - 1) == i - 1
         assert sequence.index_of(d) == i
+
+
+def _outcome(f, x):
+    # what f(x) returns, or the type, message and suffix of what it raises
+    try:
+        return f(x)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "suffix", None)
+
+
+class TestMembershipFromTheCount:
+    """index_of decides membership by its own walk; a scan only words the refusal."""
+
+    def test_every_n_below_2_to_16_against_the_oracle(self):
+        ordinals = {0: 1}
+        for k in range(1, 17):
+            for d in oracle.brute_range(k):
+                ordinals[d] = len(ordinals) + 1
+        for n in range(1 << 16):
+            got = _outcome(sequence.index_of, n)
+            if n in ordinals:
+                assert got == ordinals[n], n
+            else:
+                suffix = core.violating_suffix(n)
+                assert got == _outcome(core._require_dyck, n), n
+                assert got[0] is core.NotDyckNumberError and got[2] == suffix, n
+
+    @pytest.mark.parametrize("bits", [64, 1000, 10**4])
+    def test_seeded_non_members(self, bits):
+        rng = random.Random(bits)
+        while True:
+            member = sequence.term_at(rng.getrandbits(bits) | 1 << (bits - 1))
+            if -_naive_lowest(member >> sequence._B) >= 2:
+                break
+        top = member.bit_length() - 1
+        # the digits above the block are a member's, which need the block
+        # to end at height 2 or more, so only the block can refuse these:
+        # blocks that dip below 0, and 0b010101010101, which ends at 0
+        high = member >> sequence._B << sequence._B
+        shallow = [member - 1, high | 1, high | 0x555]
+        # these dip more than 12 below the block: no row of blocks can
+        # repair them, and the walk's need runs past the last row
+        deep = [1 << 40 | 1, 1 << top | 1, 1 << top | (1 << 40) | 1]
+        # 13 zero digits right above a random block, under random digits
+        deep.append((rng.getrandbits(bits - 25) | 1 << (bits - 26)) << 25 | rng.getrandbits(12))
+        for d in shallow:
+            assert -_naive_lowest(d >> sequence._B) <= sequence._B
+        for d in deep:
+            assert -_naive_lowest(d >> sequence._B) > sequence._B
+        for d in shallow + deep:
+            assert not core.is_dyck_number(d)
+            got = _outcome(sequence.index_of, d)
+            assert got == _outcome(core._require_dyck, d)
+            assert got[0] is core.NotDyckNumberError
+
+    @pytest.mark.parametrize("n", [-1, -4095, -4096, -(1 << 70)])
+    def test_negative_input(self, n):
+        got = _outcome(sequence.index_of, n)
+        assert got == (ValueError, f"expected a natural number, got {n}", None)
+        assert got == _outcome(core._require_dyck, n)
+
+    def test_members_are_not_scanned(self, monkeypatch):
+        def no_scan(d):
+            raise AssertionError(f"index_of scanned the member {d}")
+
+        members = list(islice(sequence.iter_from(0), 20000))
+        rng = random.Random(3)
+        members += [sequence.term_at(rng.getrandbits(b) | 1 << (b - 1)) for b in (60, 64, 70, 1000)]
+        monkeypatch.setattr(core, "_require_dyck", no_scan)
+        monkeypatch.setattr(core, "violating_suffix", no_scan)
+        for i, d in enumerate(members[:20000], start=1):
+            assert sequence.index_of(d) == i
+        for d in members[20000:]:
+            sequence.index_of(d)
+
+
+def _last_ordinal(k):
+    # the k-th Mersenne number closes range k: one for the zero term plus
+    # the sizes of ranges 1..k
+    return 1 + sum(sequence.central_binomial(j) for j in range(k))
+
+
+class TestFirstRankTable:
+    def test_entries_are_the_summed_range_sizes(self):
+        firsts = sequence._firsts()
+        assert len(firsts) == sequence._TABLED + 1
+        small = len(sequence._tables()[0])
+        for t, first in enumerate(firsts):
+            k = sequence._B + 1 + t
+            assert first == _last_ordinal(k - 1) - small, k
+
+    @pytest.mark.parametrize("k", range(60, 71))
+    def test_range_edges_across_the_table_end(self, k):
+        first, last = _last_ordinal(k - 1) + 1, _last_ordinal(k)
+        assert sequence.term_at(first) == core.mersenne_successor(k - 1)
+        assert sequence.term_at(last) == core.mersenne(k)
+        assert sequence.index_of(core.mersenne_successor(k - 1)) == first
+        assert sequence.index_of(core.mersenne(k)) == last
+        for i in (first, last):
+            d = sequence.term_at(i)
+            assert sequence.index_of(d) == i
+            assert sequence.term_at(i + 1) == core.successor(d)
