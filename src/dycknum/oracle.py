@@ -12,10 +12,11 @@ from .core import NotDyckNumberError, violating_suffix
 
 # full scans above this many bits take too long to be useful at a desk
 SCAN_GUARD_BITS = 24
-# odd candidates brute_successor tries before it gives up: at most ~1.5 s
-# of scanning at 64 bits on a 2-core shared host under Python 3.11, where a
-# Dyck number below 2**24 is followed by at most 2**11 candidates
-SUCCESSOR_CANDIDATE_CAP = 1 << 18
+# what brute_successor may spend on scans, its input's included, with a
+# scan of a k-bit number counted as k * (k + 512) (see _scan_cost): about
+# 1.5 s on a 2-core shared host under Python 3.11, where a Dyck number
+# below 2**24 is followed by at most 2**11 candidates, costing ~2**25
+SUCCESSOR_SCAN_BUDGET = 1 << 31
 
 
 def _suffix_balanced(n: int) -> bool:
@@ -38,29 +39,36 @@ def _require_dyck(n: int) -> None:
         raise NotDyckNumberError(n, violating_suffix(n))
 
 
-def brute_successor(d: int, *, force: bool = False) -> int:
+def _scan_cost(n: int) -> int:
+    # _suffix_balanced checks up to k suffixes of a k-bit number, each at
+    # a fixed cost worth ~512 characters plus its length
+    k = n.bit_length()
+    return k * (k + 512)
+
+
+def brute_successor(d: int) -> int:
     """Next Dyck number after d, found by scanning odd candidates.
 
-    The successor of a k-bit number can lie about 2**(k/2) odd numbers
-    above it, so the scan stops after SUCCESSOR_CANDIDATE_CAP candidates
-    unless force=True.
+    A scan costs time quadratic in its width, and the successor of a
+    k-bit number can lie about 2**(k/2) odd numbers above it, so a
+    ValueError is raised instead of any scan that would take the cost of
+    the scans, d's own included, past SUCCESSOR_SCAN_BUDGET.
     """
-    _require_dyck(d)
-    if d == 0:
-        return 1
-    candidate = d + 2
-    scanned = 1
-    while not _suffix_balanced(candidate):
-        if scanned == SUCCESSOR_CANDIDATE_CAP and not force:
-            raise ValueError(
-                f"brute_successor found no Dyck number in the "
-                f"{SUCCESSOR_CANDIDATE_CAP} odd candidates above a "
-                f"{d.bit_length()}-bit number; pass force=True if you "
-                f"really want to scan further"
-            )
-        candidate += 2
-        scanned += 1
-    return candidate
+    spent = _scan_cost(d)
+    if spent <= SUCCESSOR_SCAN_BUDGET:
+        _require_dyck(d)
+        if d == 0:
+            return 1
+        candidate = d + 2
+        while (spent := spent + _scan_cost(candidate)) <= SUCCESSOR_SCAN_BUDGET:
+            if _suffix_balanced(candidate):
+                return candidate
+            candidate += 2
+    raise ValueError(
+        f"brute_successor gives up on a {d.bit_length()}-bit number: its "
+        f"scans would cost more than SUCCESSOR_SCAN_BUDGET = "
+        f"{SUCCESSOR_SCAN_BUDGET}"
+    )
 
 
 def brute_range(k: int, *, force: bool = False) -> list[int]:

@@ -304,7 +304,7 @@ def index_of(d: int) -> int:
         at = bisect_left(small, d)
         if small[at : at + 1] == (d,):
             return at + 1
-        raise _refusal(d)
+        raise core.NotDyckNumberError(d, core.violating_suffix(d))
     top = d.bit_length() - 1
     ordinal = len(small) + 1
     if top < _B + _TABLED:
@@ -337,11 +337,4 @@ def index_of(d: int) -> int:
         at = bisect_left(row, w)
         if row[at : at + 1] == (w,):
             return ordinal + at
-    raise _refusal(d)
-
-
-def _refusal(d: int) -> core.NotDyckNumberError:
-    # what core._require_dyck raises for d, once a table lookup has shown
-    # that d is no Dyck number: the error that names d's violating suffix,
-    # or, for d < 0, the ValueError that violating_suffix raises itself
-    return core.NotDyckNumberError(d, core.violating_suffix(d))
+    raise core.NotDyckNumberError(d, core.violating_suffix(d))

@@ -422,16 +422,16 @@ class TestOracleSucc:
     def test_value(self, capsys):
         assert run(capsys, "oracle-succ", "31")[:2] == (0, "39\n")
 
-    def test_refused_past_the_candidate_cap(self, capsys):
+    def test_refused_past_the_scan_budget(self, capsys, monkeypatch):
         from dycknum import oracle
 
-        # the successor of 2**40 - 1 lies 2**19 odd candidates up
-        code, out, err = run(capsys, "oracle-succ", str((1 << 40) - 1))
+        # the scan of 31 itself costs 5 * (5 + 512)
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", 3)
+        code, out, err = run(capsys, "oracle-succ", "31")
         assert (code, out) == (1, "")
         assert err == (
-            f"error: brute_successor found no Dyck number in the "
-            f"{oracle.SUCCESSOR_CANDIDATE_CAP} odd candidates above a 40-bit "
-            f"number; pass force=True if you really want to scan further\n"
+            "error: brute_successor gives up on a 5-bit number: its scans "
+            "would cost more than SUCCESSOR_SCAN_BUDGET = 3\n"
         )
 
 

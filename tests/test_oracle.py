@@ -21,23 +21,28 @@ class TestBruteSuccessor:
         with pytest.raises(core.NotDyckNumberError):
             oracle.brute_successor(9)
 
-    def test_cap_counts_candidates(self, monkeypatch):
-        # 39 is the fourth odd candidate after 31
-        monkeypatch.setattr(oracle, "SUCCESSOR_CANDIDATE_CAP", 4)
+    def test_budget_counts_every_scan(self, monkeypatch):
+        # 31 has 5 bits and its odd candidates 33, 35, 37, 39 have 6
+        cost = 5 * (5 + 512) + 4 * 6 * (6 + 512)
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", cost)
         assert oracle.brute_successor(31) == 39
-        monkeypatch.setattr(oracle, "SUCCESSOR_CANDIDATE_CAP", 3)
-        with pytest.raises(ValueError, match="in the 3 odd candidates"):
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", cost - 1)
+        with pytest.raises(ValueError, match=f"SUCCESSOR_SCAN_BUDGET = {cost - 1}$"):
             oracle.brute_successor(31)
-        assert oracle.brute_successor(31, force=True) == 39
 
-    def test_refuses_past_the_candidate_cap(self):
-        # 2**40 - 1 is followed by 2**19 odd candidates, twice the cap, so
-        # a scan without the cap ends too, and this test then fails
-        with pytest.raises(ValueError, match="force=True") as exc_info:
+    def test_refuses_past_the_budget(self):
+        # 2**40 - 1 is followed by 2**19 odd candidates, so a scan without
+        # the budget ends too, and this test then fails
+        with pytest.raises(ValueError, match="on a 40-bit number") as exc_info:
             oracle.brute_successor(core.mersenne(40))
-        assert str(oracle.SUCCESSOR_CANDIDATE_CAP) in str(exc_info.value)
+        assert str(oracle.SUCCESSOR_SCAN_BUDGET) in str(exc_info.value)
 
-    def test_cap_admits_every_scan_below_2_to_24(self):
+    def test_refuses_a_wide_input_before_scanning_it(self):
+        # an even number is no Dyck number, so the budget spoke first
+        with pytest.raises(ValueError, match="on a 50001-bit number"):
+            oracle.brute_successor(1 << 50000)
+
+    def test_budget_admits_every_scan_below_2_to_24(self):
         # 2**24 - 1 is followed by 2**11 candidates, the most below 2**24
         d = core.mersenne(24)
         assert oracle.brute_successor(d) == core.mersenne_successor(24)
