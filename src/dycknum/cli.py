@@ -1,8 +1,8 @@
 """Command line front end: the ``dyck`` tool.
 
-One subcommand per library capability. Numbers print in decimal unless
---binary asks for the raw binary expansion; inputs are decimal by
-default and accept 0b/0x prefixes. Exit status is 0 on success, 1 on
+One subcommand per library capability. Inputs are decimal by default and
+accept 0b/0x prefixes; every term printed goes through _write, in decimal
+unless --binary asks for binary. Exit status is 0 on success, 1 on
 domain errors (and for a failed check), 2 on usage errors.
 """
 
@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import islice
+from itertools import count, islice
 
 # a handler imports the other submodules it uses, so that a process loads
 # only what its subcommand runs
 from . import __version__, core
+
+_CHUNK = 4096
 
 
 def _natural(text: str) -> int:
@@ -60,13 +62,35 @@ def _too_wide(n: int, what: str) -> str:
     )
 
 
-def _fmt(n: int, binary: bool) -> str:
-    if binary:
-        return format(n, "b")
-    try:
-        return str(n)
-    except ValueError:
-        raise ValueError(f"{_too_wide(n, 'result')}; use --binary") from None
+def _write(terms, binary=False, sep="\n", offset=None) -> None:
+    """Write ascending terms to stdout, _CHUNK at a time, each followed by
+    sep and the last by a newline, or as b-file lines indexed from offset;
+    a ValueError refuses the first term too wide for decimal text."""
+    from bisect import bisect_left
+
+    if offset is not None:
+        from .bfile import emit_bfile
+    limit = 0 if binary else core._str_digit_limit()
+    bound = 10**limit if limit else float("inf")
+    form = ("{:b}" if binary else "{}") + sep
+    terms, tail = iter(terms), ""
+    for index in count(offset or 0, _CHUNK):
+        chunk = tuple(islice(terms, _CHUNK))
+        cut = bisect_left(chunk, bound)
+        if offset is not None:
+            text = tail + emit_bfile(chunk[:cut], index)
+        else:
+            text = tail + (form * cut).format(*chunk[:cut])
+        # each term's text ends in its separator; the last waits for the end
+        sys.stdout.write(text[:-1])
+        tail = text[-1:]
+        if cut < _CHUNK:
+            break
+    sys.stdout.write(tail and "\n")
+    if cut < len(chunk):
+        if offset is not None:
+            raise ValueError(_too_wide(chunk[cut], "value"))
+        raise ValueError(f"{_too_wide(chunk[cut], 'result')}; use --binary")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -81,8 +105,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_succ(args: argparse.Namespace) -> int:
     from . import sequence
 
-    for value in islice(sequence.iter_from(args.number), 1, args.count + 1):
-        print(_fmt(value, args.binary))
+    _write(islice(sequence.iter_from(args.number), 1, args.count + 1), args.binary)
     return 0
 
 
@@ -90,13 +113,13 @@ def _cmd_range(args: argparse.Namespace) -> int:
     from . import sequence
 
     if args.list:
-        line = " ".join(_fmt(d, args.binary) for d in sequence.iter_range(args.k))
-        print(line)
+        _write(sequence.iter_range(args.k), args.binary, sep=" ")
         return 0
     stats = sequence.range_stats(args.k)
+    form = "b" if args.binary else "d"
     print(
-        f"range {stats.k}: first={_fmt(stats.first, args.binary)} "
-        f"last={_fmt(stats.last, args.binary)} size={stats.size} "
+        f"range {stats.k}: first={stats.first:{form}} "
+        f"last={stats.last:{form}} size={stats.size} "
         f"expected={stats.expected} match={'yes' if stats.matches else 'NO'}"
     )
     return 0
@@ -105,11 +128,8 @@ def _cmd_range(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from . import sequence
 
-    start = args.start
-    if args.skip_zero and start == 0:
-        start = 1
-    for value in islice(sequence.iter_from(start), args.count):
-        print(_fmt(value, args.binary))
+    start = 1 if args.skip_zero and args.start == 0 else args.start
+    _write(islice(sequence.iter_from(start), args.count), args.binary)
     return 0
 
 
@@ -117,7 +137,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "word":
         print(core.to_dyck_word(args.number))
     elif args.to == "standard":
-        print(_fmt(core.to_standard_code(args.number), args.binary))
+        _write((core.to_standard_code(args.number),), args.binary)
     else:  # heights, shown most significant digit first
         profile = core.height_profile(args.number)
         print(" ".join(map(str, reversed(profile))))
@@ -167,33 +187,22 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
         index, expected, actual = report.first_mismatch
         print(f"mismatch at index {index}: expected {expected}, got {actual}")
         return 1
-    from bisect import bisect_left
-
-    count = 20 if args.count is None else args.count
+    size = 20 if args.count is None else args.count
     offset = 1 if args.offset is None else args.offset
     # indices print in decimal: refuse one too long for that before
     # computing any term
-    last = offset + count - 1
+    last = offset + size - 1
     limit = core._str_digit_limit()
-    bound = 10**limit if limit else float("inf")
-    if last >= bound:
+    if limit and last >= 10**limit:
         raise ValueError(_too_wide(last, "index"))
-    terms = islice(sequence.iter_from(sequence.term_at(offset)), count)
-    for index in range(offset, last + 1, 4096):
-        chunk = tuple(islice(terms, 4096))
-        # values ascend and can pass the limit where their indices do not:
-        # write the lines before the first that does, then refuse it
-        cut = bisect_left(chunk, bound)
-        sys.stdout.write(bfile.emit_bfile(chunk[:cut], index))
-        if cut < len(chunk):
-            raise ValueError(_too_wide(chunk[cut], "value"))
+    _write(islice(sequence.iter_from(sequence.term_at(offset)), size), offset=offset)
     return 0
 
 
 def _cmd_oracle_succ(args: argparse.Namespace) -> int:
     from . import oracle
 
-    print(_fmt(oracle.brute_successor(args.number), args.binary))
+    _write((oracle.brute_successor(args.number),), args.binary)
     return 0
 
 

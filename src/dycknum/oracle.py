@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from .core import NotDyckNumberError, violating_suffix
 
-# full scans above this many bits take too long to be useful at a desk
-SCAN_GUARD_BITS = 24
-# what brute_successor may spend on scans, its input's included, with a
-# scan of a k-bit number counted as k * (k + 512) (see _scan_cost): about
-# 1.5 s on a 2-core shared host under Python 3.11, where a Dyck number
-# below 2**24 is followed by at most 2**11 candidates, costing ~2**25
+# what brute_successor or brute_range may spend on scans, a scan of a k-bit
+# number counted as k * (k + 512): about 1.5 s on a 2-core shared host under
+# Python 3.11; a Dyck number below 2**24 is followed by at most 2**11
+# candidates, costing ~2**25, and range 19 costs ~2**30.3
 SUCCESSOR_SCAN_BUDGET = 1 << 31
 
 
@@ -39,10 +37,9 @@ def _require_dyck(n: int) -> None:
         raise NotDyckNumberError(n, violating_suffix(n))
 
 
-def _scan_cost(n: int) -> int:
+def _scan_cost(k: int) -> int:
     # _suffix_balanced checks up to k suffixes of a k-bit number, each at
     # a fixed cost worth ~512 characters plus its length
-    k = n.bit_length()
     return k * (k + 512)
 
 
@@ -54,13 +51,15 @@ def brute_successor(d: int) -> int:
     ValueError is raised instead of any scan that would take the cost of
     the scans, d's own included, past SUCCESSOR_SCAN_BUDGET.
     """
-    spent = _scan_cost(d)
+    spent = _scan_cost(d.bit_length())
     if spent <= SUCCESSOR_SCAN_BUDGET:
         _require_dyck(d)
         if d == 0:
             return 1
         candidate = d + 2
-        while (spent := spent + _scan_cost(candidate)) <= SUCCESSOR_SCAN_BUDGET:
+        while (
+            spent := spent + _scan_cost(candidate.bit_length())
+        ) <= SUCCESSOR_SCAN_BUDGET:
             if _suffix_balanced(candidate):
                 return candidate
             candidate += 2
@@ -71,18 +70,19 @@ def brute_successor(d: int) -> int:
     )
 
 
-def brute_range(k: int, *, force: bool = False) -> list[int]:
+def brute_range(k: int) -> list[int]:
     """All Dyck numbers of binary length k, by scanning every odd number.
 
-    Cost is 2**(k-2) membership checks, so indices above SCAN_GUARD_BITS
-    are refused unless force=True.
+    A ValueError is raised before any scan when the 2**(k-2) scans of
+    k-bit candidates would cost more than SUCCESSOR_SCAN_BUDGET.
     """
     if k < 1:
         raise ValueError(f"range index must be >= 1, got {k}")
-    if k > SCAN_GUARD_BITS and not force:
+    # 2**(k-2) * cost > budget, tested without building a k-bit number
+    if _scan_cost(k) > SUCCESSOR_SCAN_BUDGET >> max(k - 2, 0):
         raise ValueError(
-            f"brute_range({k}) would scan 2**{k - 1} candidates; "
-            f"pass force=True if you really want that"
+            f"brute_range({k}) gives up: its 2**{k - 2} scans would cost "
+            f"more than SUCCESSOR_SCAN_BUDGET = {SUCCESSOR_SCAN_BUDGET}"
         )
     return [n for n in range(1 << (k - 1), 1 << k) if n % 2 and _suffix_balanced(n)]
 

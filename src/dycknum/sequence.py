@@ -142,18 +142,8 @@ def iter_range(k: int) -> Iterator[int]:
     )
 
 
-def range_terms(k: int, *, allow_zero_range: bool = False) -> list[int]:
-    """All Dyck numbers of binary length exactly k, as an ascending list.
-
-    Range 0 holds only the empty path; ask for it explicitly with
-    allow_zero_range=True, since most uses start at range 1.
-    """
-    if k == 0:
-        if not allow_zero_range:
-            raise ValueError(
-                "range 0 is the single empty path; pass allow_zero_range=True"
-            )
-        return [0]
+def range_terms(k: int) -> list[int]:
+    """All Dyck numbers of binary length exactly k, as an ascending list."""
     return list(iter_range(k))
 
 

@@ -98,6 +98,10 @@ class TestEnumerate:
         _, out, _ = run(capsys, "enumerate", "--start", "31", "--count", "2")
         assert out == "31\n39\n"
 
+    def test_skip_zero_keeps_a_later_start(self, capsys):
+        _, out, _ = run(capsys, "enumerate", "--skip-zero", "--start", "31", "--count", "2")
+        assert out == "31\n39\n"
+
     def test_bad_start(self, capsys):
         code, _, err = run(capsys, "enumerate", "--start", "9")
         assert code == 1
@@ -416,6 +420,66 @@ class TestDecimalDigitLimit:
             f"error: {4 * limit}-bit value has more decimal digits than Python's "
             f"limit of {limit} for decimal conversion\n"
         )
+
+
+class TestWriter:
+    # every term the CLI prints goes out 4,096 at a time
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("count", [4095, 4096, 4097, 9000])
+    def test_streams_are_the_library_stream(self, capsys, count, binary):
+        from itertools import islice
+
+        form = "b" if binary else "d"
+        flags = ["--binary"] * binary + ["--count", str(count)]
+        terms = list(islice(sequence.iter_from(), count + 1))
+        expected = "".join(f"{v:{form}}\n" for v in terms[1:])
+        assert run(capsys, "succ", "0", *flags) == (0, expected, "")
+        expected = "".join(f"{v:{form}}\n" for v in terms[:-1])
+        assert run(capsys, "enumerate", *flags) == (0, expected, "")
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_range_list_is_the_library_range(self, capsys, binary):
+        # range 16 holds 6,435 terms, so its list spans two chunks
+        form = "b" if binary else "d"
+        expected = " ".join(f"{v:{form}}" for v in sequence.range_terms(16)) + "\n"
+        argv = ["range", "16", "--list"] + ["--binary"] * binary
+        assert run(capsys, *argv) == (0, expected, "")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0,
+    reason="no limit on int <-> decimal text conversion",
+)
+class TestWriterDigitLimit:
+    @staticmethod
+    def refusal(bits):
+        return (
+            f"error: {bits}-bit result has more decimal digits than Python's "
+            f"limit of {sys.get_int_max_str_digits()} for decimal conversion; "
+            f"use --binary\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["succ", "0"], ["enumerate", "--start", "0"]])
+    def test_value_past_the_limit_in_the_second_chunk(self, capsys, monkeypatch, argv):
+        from itertools import chain
+
+        bits = 4 * sys.get_int_max_str_digits()
+        wide = core.mersenne(bits)
+        monkeypatch.setattr(sequence, "iter_from", lambda d: chain(range(4100), [wide]))
+        code, out, err = run(capsys, *argv, "--count", "9000")
+        # succ leaves out its start; every line before the wide value is
+        # printed whole, and none of its own
+        first = 1 if argv[0] == "succ" else 0
+        expected = "".join(f"{v}\n" for v in range(first, 4100))
+        assert (code, out, err) == (1, expected, self.refusal(bits))
+
+    def test_standard_code_past_the_limit(self, capsys):
+        # the A014486 code of a member with n ones has 2n bits
+        ones = 2 * sys.get_int_max_str_digits()
+        member = hex(core.mersenne(ones))
+        argv = ["convert", member, "--to", "standard"]
+        assert run(capsys, *argv) == (1, "", self.refusal(2 * ones))
+        assert run(capsys, *argv, "--binary") == (0, "1" * ones + "0" * ones + "\n", "")
 
 
 class TestOracleSucc:

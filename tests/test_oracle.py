@@ -21,6 +21,10 @@ class TestBruteSuccessor:
         with pytest.raises(core.NotDyckNumberError):
             oracle.brute_successor(9)
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="^expected a natural number, got -1$"):
+            oracle.brute_successor(-1)
+
     def test_budget_counts_every_scan(self, monkeypatch):
         # 31 has 5 bits and its odd candidates 33, 35, 37, 39 have 6
         cost = 5 * (5 + 512) + 4 * 6 * (6 + 512)
@@ -62,11 +66,26 @@ class TestBruteRange:
         assert oracle.brute_range(4) == [11, 13, 15]
 
     def test_guard_refuses_large_scans(self):
-        with pytest.raises(ValueError, match="force=True"):
-            oracle.brute_range(oracle.SCAN_GUARD_BITS + 1)
+        # range 20's 2**18 scans of 20 bits cost more than the budget, and a
+        # range too wide to hold in memory is refused as quickly
+        budget = oracle.SUCCESSOR_SCAN_BUDGET
+        for k in (20, 10**12):
+            with pytest.raises(ValueError, match=f"SUCCESSOR_SCAN_BUDGET = {budget}$"):
+                oracle.brute_range(k)
 
-    def test_force_overrides_guard(self):
-        assert oracle.brute_range(5, force=True) == oracle.brute_range(5)
+    def test_budget_counts_every_candidate(self, monkeypatch):
+        # range 5 has 8 odd candidates of 5 bits, range 1 the one candidate 1
+        cost = 8 * 5 * (5 + 512)
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", cost)
+        assert oracle.brute_range(5) == sequence.range_terms(5)
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", cost - 1)
+        with pytest.raises(ValueError, match=r"brute_range\(5\) gives up: its 2\*\*3 scans"):
+            oracle.brute_range(5)
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", 513)
+        assert oracle.brute_range(1) == [1]
+        monkeypatch.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", 512)
+        with pytest.raises(ValueError):
+            oracle.brute_range(1)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
@@ -99,3 +118,7 @@ class TestKasaZeroBounds:
     def test_rejects_non_dyck(self):
         with pytest.raises(core.NotDyckNumberError):
             oracle.kasa_zero_bounds(6)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="^expected a natural number, got -1$"):
+            oracle.kasa_zero_bounds(-1)

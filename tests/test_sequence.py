@@ -59,10 +59,9 @@ class TestRanges:
         assert terms[-1] == 65535
         assert len(terms) == 6435
 
-    def test_zero_range_is_opt_in(self):
-        with pytest.raises(ValueError):
+    def test_zero_range_is_refused(self):
+        with pytest.raises(ValueError, match="range index must be >= 1, got 0"):
             sequence.range_terms(0)
-        assert sequence.range_terms(0, allow_zero_range=True) == [0]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
