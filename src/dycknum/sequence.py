@@ -27,9 +27,9 @@ order from a table; the high part 0 takes the 989 Dyck numbers below
 2**12 from a table of their own. The tables (3,499 distinct entries: 989
 small terms and 2,510 low blocks, since each odd row of low blocks is
 the even row after it) are built on the first enumeration or ranking,
-not at import. range_stats and verify_conjecture count each range by
-this enumeration, which stops at the range's last term by value,
-independently of the ballot counts.
+not at import. The walk yields each high part's row of low blocks; the
+enumerations join them and range_stats adds up their lengths. The walk
+stops at a range's last term by value, independently of ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cache
 from itertools import accumulate, chain, islice
 from math import comb
@@ -107,21 +107,31 @@ def _next_high(high: int) -> tuple[int, int]:
     return high + (1 << -((low + _B) // 2)), _B
 
 
-def _pieces(d: int, last: int | None) -> Iterator[Iterable[int]]:
-    # iterables that together yield the Dyck numbers from d on, ascending,
-    # through last when it is given. last is a Mersenne number: its high
-    # part is valid, so the steps reach it, and its low block 2**_B - 1
-    # ends every row, so only a first piece in that high part needs a cut.
+def _rows(d: int, last: int | None) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # (high, row) per valid high part, row the ascending low blocks that
+    # complete high into the Dyck numbers from d through last, or from d on.
+    # last is a Mersenne number: the steps reach its high part, and its low
+    # block 2**_B - 1 ends every row, so only a first row there is cut short.
     small, tails = _tables()
     mask = (1 << _B) - 1
     high = d >> _B
     top = None if last is None else last >> _B
-    tail = tails[-core._lowest(high)] if high else small
-    stop = bisect_right(tail, last & mask) if high == top else None
-    yield map((high << _B).__or__, tail[bisect_left(tail, d & mask) : stop])
+    row = tails[-core._lowest(high)] if high else small
+    stop = bisect_right(row, last & mask) if high == top else None
+    yield high, row[bisect_left(row, d & mask) : stop]
     while high != top:
         high, need = _next_high(high)
-        yield map((high << _B).__or__, tails[need])
+        yield high, tails[need]
+
+
+def _terms(rows: Iterator[tuple[int, tuple[int, ...]]]) -> Iterator[int]:
+    return chain.from_iterable(map((high << _B).__or__, row) for high, row in rows)
+
+
+def _bounds(k: int) -> tuple[int, int]:
+    if k < 1:
+        raise ValueError(f"range index must be >= 1, got {k}")
+    return core.mersenne_successor(k - 1), core.mersenne(k)
 
 
 def iter_from(start: int = 0) -> Iterator[int]:
@@ -130,16 +140,12 @@ def iter_from(start: int = 0) -> Iterator[int]:
     Raises NotDyckNumberError if start is not a Dyck number.
     """
     core._require_dyck(start)
-    return chain.from_iterable(_pieces(start, None))
+    return _terms(_rows(start, None))
 
 
 def iter_range(k: int) -> Iterator[int]:
     """Yield the Dyck numbers of binary length exactly k, ascending."""
-    if k < 1:
-        raise ValueError(f"range index must be >= 1, got {k}")
-    return chain.from_iterable(
-        _pieces(core.mersenne_successor(k - 1), core.mersenne(k))
-    )
+    return _terms(_rows(*_bounds(k)))
 
 
 def range_terms(k: int) -> list[int]:
@@ -160,26 +166,20 @@ class RangeStats(namedtuple("RangeStats", "k first last size expected")):
 def range_stats(k: int) -> RangeStats:
     """Boundary terms and counted size of range k, with the A001405 check.
 
-    The first and last terms come from closed forms; the size is counted
-    by enumerating the whole range.
+    The first and last terms come from closed forms; the size adds up the
+    lengths of the block walk's rows of low blocks, generating no term.
     """
-    size = sum(1 for _ in iter_range(k))
-    return RangeStats(
-        k=k,
-        first=core.mersenne_successor(k - 1),
-        last=core.mersenne(k),
-        size=size,
-        expected=central_binomial(k - 1),
-    )
+    first, last = _bounds(k)
+    size = sum(len(row) for _, row in _rows(first, last))
+    return RangeStats(k, first, last, size, central_binomial(k - 1))
 
 
 def verify_conjecture(max_k: int) -> list[RangeStats]:
     """Count ranges 1..max_k and compare each against A001405(k-1).
 
     The range-size law follows from the walk bijection in the module
-    docstring. This recount enumerates the terms block by block and
-    shares no code with the ranking counts, so it checks the two against
-    each other.
+    docstring. This recount by the block walk's rows shares no code with
+    the ranking counts, so it checks the two against each other.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dycknum import bfile, core, sequence
+from dycknum import bfile, cli, core, sequence
 from dycknum.cli import main
 
 
@@ -80,6 +80,66 @@ class TestRange:
     def test_rejects_zero(self, capsys):
         with pytest.raises(SystemExit):
             main(["range", "0"])
+
+
+def _refused(capsys, monkeypatch, *argv):
+    # a refusal past the counting bound exits 2 before any range is counted
+    def uncounted(k):
+        raise AssertionError(f"range {k} was counted")
+
+    monkeypatch.setattr(sequence, "range_stats", uncounted)
+    with pytest.raises(SystemExit) as exc_info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert (exc_info.value.code, captured.out) == (2, "")
+    return captured.err
+
+
+class TestCountingBound:
+    def test_range_past_the_bound_is_refused(self, capsys, monkeypatch):
+        err = _refused(capsys, monkeypatch, "range", "33")
+        assert err.endswith(
+            "dyck range: error: range 33 is past MAX_COUNTED_RANGE = 32\n"
+        )
+
+    def test_verify_conjecture_past_the_bound_is_refused(self, capsys, monkeypatch):
+        err = _refused(capsys, monkeypatch, "verify-conjecture", "--max-range", "33")
+        assert err.endswith(
+            "dyck verify-conjecture: error: range 33 is past MAX_COUNTED_RANGE = 32\n"
+        )
+
+    def test_counts_through_the_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_COUNTED_RANGE", 5)
+        assert run(capsys, "range", "5") == (
+            0,
+            "range 5: first=19 last=31 size=6 expected=6 match=yes\n",
+            "",
+        )
+        assert run(capsys, "verify-conjecture", "--max-range", "5") == (
+            0,
+            "range 1: size=1 expected=1 match\n"
+            "range 2: size=1 expected=1 match\n"
+            "range 3: size=2 expected=2 match\n"
+            "range 4: size=3 expected=3 match\n"
+            "range 5: size=6 expected=6 match\n"
+            "conjecture holds for ranges 1..5\n",
+            "",
+        )
+
+    def test_refused_just_past_the_bound(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_COUNTED_RANGE", 5)
+        for argv in (["range", "6"], ["verify-conjecture", "--max-range", "6"]):
+            err = _refused(capsys, monkeypatch, *argv)
+            assert err.endswith("error: range 6 is past MAX_COUNTED_RANGE = 5\n")
+
+    def test_list_is_not_bounded(self, capsys, monkeypatch):
+        # listing costs its own output, so --list takes any range
+        monkeypatch.setattr(cli, "MAX_COUNTED_RANGE", 5)
+        assert run(capsys, "range", "6", "--list") == (
+            0,
+            "39 43 45 47 51 53 55 59 61 63\n",
+            "",
+        )
 
 
 class TestEnumerate:

@@ -102,6 +102,30 @@ class TestRangeStats:
         stats = sequence.range_stats(1)
         assert (stats.first, stats.last, stats.size) == (1, 1, 1)
 
+    def test_size_is_the_enumerated_count(self):
+        for k in range(1, 23):
+            counted = sum(1 for _ in sequence.iter_range(k))
+            assert sequence.range_stats(k).size == counted, k
+
+    def test_size_past_the_enumerated_ranges(self):
+        # by rows, not terms: range 28 holds 20 M terms in 32,751 rows
+        for k in range(23, 29):
+            assert sequence.range_stats(k).size == sequence.central_binomial(k - 1), k
+
+    def test_counting_generates_no_term(self, monkeypatch):
+        def no_terms(rows):
+            raise AssertionError("range_stats generated terms")
+
+        monkeypatch.setattr(sequence, "_terms", no_terms)
+        assert sequence.range_stats(20) == sequence.RangeStats(
+            20, 525311, 1048575, 92378, 92378
+        )
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_range_index_below_1_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"^range index must be >= 1, got {k}$"):
+            sequence.range_stats(k)
+
     def test_verify_conjecture_head(self):
         results = sequence.verify_conjecture(10)
         assert [r.size for r in results] == [1, 1, 2, 3, 6, 10, 20, 35, 70, 126]
