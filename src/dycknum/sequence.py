@@ -7,18 +7,19 @@ read from the low end with 1 as a step up and 0 as a step down, is a walk
 that never goes below 0; every such walk occurs. Range k therefore holds
 C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
 
-term_at and index_of rank and unrank exactly by counting those walks
-with ballot numbers. The ranks at which the ranges of 13 to 64 bits
-start are summed once into a table, built on the first ranking past the
-terms below 2**12, so a range there is found by one lookup; wider ranges
-are skipped by their sizes. Each count is stepped from the one before by
-one multiply and one exact divide by small integers, and the lowest 12
-digits are read from the block tables below, so an ordinal costs O(k)
-such steps and no successor steps. index_of reads membership from the
-same walk: the digits above the lowest 12 fix the row of low blocks that
-can complete them, and the input is a Dyck number exactly when its
-lowest 12 digits are in that row, so only a refusal scans the input to
-name its violating suffix.
+term_at and index_of rank and unrank exactly. Below 2**24, a table built
+on the first ranking past the terms below 2**12 holds each 12-digit high
+part's row of low blocks and the rank at which it starts, so a rank
+there takes one bisection and one index. From 25 bits on they count the
+walks with ballot numbers: a range is found in a table of the ranks at
+which ranges of 13 to 64 bits start, wider ones by their sizes, and each
+count is stepped from the one before by one multiply and one exact
+divide by small integers, so an ordinal costs O(k) such steps and no
+successor steps. index_of reads membership from the same tables: the
+digits above the lowest 12 fix the row of low blocks that can complete
+them, and the input is a Dyck number exactly when its lowest 12 digits
+are in that row, so only a refusal scans the input to name its
+violating suffix.
 
 iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
@@ -220,24 +221,44 @@ def _firsts() -> tuple[int, ...]:
     )
 
 
+@cache
+def _high_parts() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    # (rows, starts): rows[h] the low blocks that complete the high part h,
+    # and starts[h] the Dyck numbers below h << _B; needs[h] = -_lowest(h),
+    # stepped from h >> 1 by the digit read first, is at most _B - 1
+    small, tails = _tables()
+    needs = [0]
+    for h in range(1, 1 << _B):
+        g = needs[h >> 1]
+        needs.append((g - 1 if g else 0) if h & 1 else g + 1)
+    rows = (small, *(tails[need] for need in needs[1:]))
+    return rows, tuple(accumulate(map(len, rows), initial=0))
+
+
 def term_at(i: int) -> int:
     """The i-th Dyck number, 1-based, with term_at(1) = 0.
 
-    The terms below 2**12 come from a table. Above it, the range is found
-    by one bisection of a table of the ranks at which ranges of 13 to 64
-    bits start; a wider range is reached by skipping whole ranges by
-    their exact sizes. Then the digits below the leading 1 are chosen from
-    the top down: a 0 is kept while the rank left is below the number of
-    walks that complete it, and the last 12 digits are read from the table
-    of low blocks. Each count is stepped from the one before by one
-    multiply and one exact divide by small integers, so a k-bit term costs
-    O(k) such steps on numbers of at most k bits.
+    The terms below 2**12 come from a table, and those below 2**24 from
+    one bisection of the ranks at which the 12-digit high parts start and
+    one index into that high part's row of low blocks. From 25 bits on,
+    the range is found by one bisection of a table of the ranks at which
+    ranges of 13 to 64 bits start; a wider range is reached by skipping
+    whole ranges by their exact sizes. Then the digits below the leading 1
+    are chosen from the top down: a 0 is kept while the rank left is below
+    the number of walks that complete it, and the last 12 digits are read
+    from the table of low blocks. Each count is stepped from the one
+    before by one multiply and one exact divide by small integers, so a
+    k-bit term costs O(k) such steps on numbers of at most k bits.
     """
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
     small, tails = _tables()
     if i <= len(small):
         return small[i - 1]
+    rows, starts = _high_parts()
+    if i <= starts[-1]:
+        h = bisect_right(starts, i - 1) - 1
+        return h << _B | rows[h][i - 1 - starts[h]]
     rank = i - 1 - len(small)
     firsts = _firsts()
     t = bisect_right(firsts, rank) - 1
@@ -278,22 +299,31 @@ def term_at(i: int) -> int:
 def index_of(d: int) -> int:
     """1-based ordinal of the Dyck number d; inverse of term_at.
 
-    The ordinal is the exact count of Dyck numbers below d plus one: the
-    sizes of the shorter ranges, read from term_at's table of first ranks
-    up to 64 bits and summed above it, then, at each 1-digit of d below
-    its leading 1, the terms that carry a 0 there instead, stepped as in
-    term_at; terms below 2**12 and the last 12 digits are placed in their
-    tables by bisection. The same walk decides membership: d is a Dyck
-    number exactly when it is found in the table of small terms, or when
-    its last 12 digits are found in the row of low blocks that the digits
-    above them need. Otherwise NotDyckNumberError is raised, with the
-    violating suffix that a scan of d names, and ValueError for d < 0.
+    The ordinal is the exact count of Dyck numbers below d plus one. Below
+    2**24 it is the rank at which d's high part starts, from term_at's
+    table, plus the place of its last 12 digits in that part's row. Above,
+    it adds the sizes of the shorter ranges, read from term_at's table of
+    first ranks up to 64 bits and summed above it, then, at each 1-digit of
+    d below its leading 1, the terms that carry a 0 there instead, stepped
+    as in term_at. Terms below 2**12 and the last 12 digits are placed in
+    their tables by bisection, which decides membership too: d is a Dyck
+    number exactly when it is found in the table of small terms, or when its
+    last 12 digits are in the row of low blocks that the digits above them
+    need. Otherwise NotDyckNumberError is raised, with the violating suffix
+    that a scan of d names, and ValueError for d < 0.
     """
     small, tails = _tables()
     if d < 0 or not d >> _B:
         at = bisect_left(small, d)
         if small[at : at + 1] == (d,):
             return at + 1
+        raise core.NotDyckNumberError(d, core.violating_suffix(d))
+    if not d >> 2 * _B:
+        rows, starts = _high_parts()
+        h, w = d >> _B, d & ((1 << _B) - 1)
+        at = bisect_left(rows[h], w)
+        if rows[h][at : at + 1] == (w,):
+            return starts[h] + at + 1
         raise core.NotDyckNumberError(d, core.violating_suffix(d))
     top = d.bit_length() - 1
     ordinal = len(small) + 1

@@ -325,10 +325,18 @@ class TestBlockWalk:
             "assert sequence._tables.cache_info().currsize == 1\n"
             "next(sequence.iter_from(1 << 20 | 4095))\n"
             "assert sequence._tables.cache_info().currsize == 1\n"
-            # the first-rank table is built past the 989 small terms only
+            # the high-part table is built past the 989 small terms only,
+            # and the first-rank table past the terms below 2**24 only
             "sequence.index_of(sequence.term_at(989))\n"
+            "assert sequence._high_parts.cache_info().currsize == 0\n"
             "assert sequence._firsts.cache_info().currsize == 0\n"
             "sequence.term_at(990)\n"
+            "assert sequence._high_parts.cache_info().currsize == 1\n"
+            "assert sequence._firsts.cache_info().currsize == 0\n"
+            "last = sequence._high_parts()[1][-1]\n"
+            "sequence.index_of(sequence.term_at(last))\n"
+            "assert sequence._firsts.cache_info().currsize == 0\n"
+            "sequence.term_at(last + 1)\n"
             "assert sequence._firsts.cache_info().currsize == 1\n"
         )
         proc = subprocess.run(
@@ -558,3 +566,57 @@ class TestFirstRankTable:
             d = sequence.term_at(i)
             assert sequence.index_of(d) == i
             assert sequence.term_at(i + 1) == core.successor(d)
+
+
+class TestHighPartTable:
+    """Ranks below 2**24 are read from one table; check it against the core."""
+
+    def test_last_start_counts_the_terms_below_2_to_24(self):
+        rows, starts = sequence._high_parts()
+        assert len(rows) == len(starts) - 1 == 1 << sequence._B
+        assert starts[-1] == 1 + sum(sequence.central_binomial(j) for j in range(24))
+
+    def test_each_high_part_starts_at_its_least_term(self):
+        # the term before each start is a Dyck number below h << 12 whose
+        # successor is at or above it, so the start is the least one there
+        starts = sequence._high_parts()[1]
+        for h in range(1, 1 << sequence._B):
+            before, first = sequence.term_at(starts[h]), sequence.term_at(starts[h] + 1)
+            assert core.is_dyck_number(before), h
+            assert before < h << sequence._B <= first, h
+            assert core.successor(before) == first, h
+
+    @pytest.mark.parametrize("k", [12, 24])
+    def test_table_edges(self, k):
+        # the last small term and the first tabled one, and the last tabled
+        # term and the first one that the stepped counts rank
+        last = _last_ordinal(k)
+        assert sequence.term_at(last) == core.mersenne(k)
+        assert sequence.term_at(last + 1) == core.mersenne_successor(k)
+        for i in (last, last + 1):
+            d = sequence.term_at(i)
+            assert sequence.index_of(d) == i
+            assert sequence.term_at(i + 1) == core.successor(d)
+
+    def test_seeded_non_members_below_2_to_24(self):
+        # above 2**16, where test_every_non_member_below_2_to_16 stops
+        rng = random.Random(24)
+        B = sequence._B
+        tails = sequence._tables()[1]
+        cases = [rng.randrange(1 << 16, 1 << 24) for _ in range(4000)]
+        cases = [n for n in cases if not _naive_is_dyck(n)]
+        shallow = 0
+        while shallow < 300:
+            member = sequence.term_at(rng.randrange(_last_ordinal(16) + 1, _last_ordinal(24) + 1))
+            high, need = member >> B << B, -_naive_lowest(member >> B)
+            # a block whose first digit steps below 0
+            cases.append(high | rng.getrandbits(B) & ~1)
+            if need >= 2:
+                # a block that stays on the ground but ends below the need
+                cases.append(high | rng.choice([w for w in tails[0] if w not in tails[need]]))
+                shallow += 1
+        for n in cases:
+            assert not core.is_dyck_number(n), n
+            got = _outcome(sequence.index_of, n)
+            assert got == _outcome(core._require_dyck, n), n
+            assert got[0] is core.NotDyckNumberError, n
