@@ -1,0 +1,180 @@
+"""Long checks, outside the tier-1 suite: each takes seconds, not milliseconds.
+
+Run them with ``PYTHONPATH=src python -m pytest checks -q``. Each check is
+a program run in a child process of its own under a 120 s limit, so a
+runaway loop fails the check instead of hanging the run, and a check that
+measures memory measures a process that holds nothing else.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LIMIT_S = 120
+
+# the count adds up row lengths, so this walks the 5.2 M terms of range 26
+# one by one, past the 22 that tier-1 walks
+RANGE_26_TERM_BY_TERM = """
+from dycknum import sequence
+if sum(1 for _ in sequence.iter_range(26)) != sequence.central_binomial(25):
+    raise SystemExit("range 26 does not hold C(25, 12) terms")
+"""
+
+# 1.35 M terms, written 4,096 at a time, so the peak RSS stays flat in k
+# (joined whole, the list peaked at 119 MB); the bytes must be the
+# library's range
+RANGE_24_LIST_IN_BOUNDED_MEMORY = """
+import hashlib, resource, subprocess, sys
+# the child starts while this process is small, since a child
+# started from a large process can report that one peak as its own
+argv = [sys.executable, "-m", "dycknum.cli", "range", "24", "--list"]
+with subprocess.Popen(argv, stdout=subprocess.PIPE) as proc:
+    digest = hashlib.md5()
+    for piece in iter(lambda: proc.stdout.read(1 << 16), b""):
+        digest.update(piece)
+if proc.returncode:
+    raise SystemExit(f"dyck range 24 --list exited {proc.returncode}")
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+from dycknum import sequence
+text = " ".join(map(str, sequence.range_terms(24))) + "\\n"
+if digest.digest() != hashlib.md5(text.encode()).digest():
+    raise SystemExit("dyck range 24 --list differs from range_terms(24)")
+print(f"dyck range 24 --list: peak RSS {peak_mb:.1f} MB")
+if peak_mb >= 30:
+    raise SystemExit("dyck range 24 --list peaked at 30 MB or more")
+"""
+
+# the 2,786,656 terms that term_at and index_of read from the table of high
+# parts, each checked against the block walk
+EVERY_TERM_BELOW_2_24_RANKED_BOTH_WAYS = """
+from itertools import islice
+from dycknum import sequence
+count = sequence.index_of((1 << 24) - 1)
+if count != 2786656:
+    raise SystemExit(f"index_of(2**24 - 1) is {count}, not 2786656")
+for i, d in enumerate(islice(sequence.iter_from(0), count), start=1):
+    if sequence.term_at(i) != d or sequence.index_of(d) != i:
+        raise SystemExit(f"term {i}, {d}, does not rank both ways")
+"""
+
+# seeded ordinals wider than the tier-1 round trips, and at 60-70 bits
+# across the end of the table of range first ranks (64 bits); index_of must
+# refuse seeded non-members, since it reads membership from its own count.
+# Nothing is converted to decimal, so no digit limit applies
+WIDE_RANKING_ROUND_TRIPS = """
+import random
+from dycknum import core, sequence
+rng = random.Random(2024)
+for bits in [*range(60, 71), 1000, 4000, 10**4]:
+    for _ in range(3):
+        i = rng.getrandbits(bits) | 1 << (bits - 1)
+        d = sequence.term_at(i)
+        if sequence.index_of(d) != i:
+            raise SystemExit(f"index_of(term_at(i)) != i at {bits} bits")
+        if sequence.term_at(i + 1) != core.successor(d):
+            raise SystemExit(f"term_at(i + 1) != successor at {bits} bits")
+    if bits < 1000:
+        continue
+    # a block that dips, under a member's upper digits, and 24
+    # zero digits, which dip deeper than any block climbs
+    for n in (d - 1, d >> 25 << 25 | 1):
+        try:
+            sequence.index_of(n)
+        except core.NotDyckNumberError:
+            continue
+        raise SystemExit(f"index_of accepted a {bits}-bit non-member")
+"""
+
+# the membership scan takes a dip's byte index from the count of bytes it
+# has not read; tier-1 plants dips up to 10^4 + 5 bits, this at every
+# offset of the first, a middle and the last byte of a 10^5-bit member
+DIPS_PLANTED_IN_A_10_5_BIT_MEMBER = """
+import random
+from dycknum import core
+WIDTH = 10**5
+rng = random.Random(WIDTH)
+
+def steps(width, ground):
+    # a walk of width digits, first step lowest, that never dips; it ends
+    # on the ground when asked (width even), else its top digit is a 1
+    d = h = 0
+    for p in range(width):
+        left = width - p
+        if h == 0 or not ground and left == 1:
+            bit = 1
+        elif ground and h == left:
+            bit = 0
+        else:
+            bit = rng.getrandbits(1)
+        d |= bit << p
+        h += 1 if bit else -1
+    return d
+
+def first_dip(n):
+    # per-bit recount: the first digit at which ones minus zeros goes below 0
+    h = 0
+    for p, digit in enumerate(bin(n)[:1:-1]):
+        h += 1 if digit == "1" else -1
+        if h < 0:
+            return p
+    return None
+
+member = steps(WIDTH, ground=False)
+if member.bit_length() != WIDTH or first_dip(member) is not None:
+    raise SystemExit("the 10^5-bit walk is not a 10^5-bit member")
+if core.violating_suffix(member) is not None:
+    raise SystemExit("violating_suffix refused a 10^5-bit member")
+# a path first dips after an odd number of steps, at an even digit, so the
+# dip for an odd offset lands on the next digit
+for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
+    for offset in range(8):
+        q = 8 * byte + offset + offset % 2
+        n = (member >> q + 1 | 1) << q + 1 | steps(q, ground=True)
+        dip = first_dip(n)
+        if dip != q:
+            raise SystemExit(f"the dip planted at digit {q} is at {dip}")
+        if core.violating_suffix(n) != bin(n)[-(dip + 1) :]:
+            raise SystemExit(f"violating_suffix misplaces the dip at digit {q}")
+        try:
+            core.successor(n)
+        except core.NotDyckNumberError as exc:
+            if exc.suffix != bin(n)[-(dip + 1) :]:
+                raise SystemExit(f"NotDyckNumberError misplaces the dip at digit {q}")
+        else:
+            raise SystemExit(f"successor accepted the dip at digit {q}")
+"""
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        RANGE_26_TERM_BY_TERM,
+        RANGE_24_LIST_IN_BOUNDED_MEMORY,
+        EVERY_TERM_BELOW_2_24_RANKED_BOTH_WAYS,
+        WIDE_RANKING_ROUND_TRIPS,
+        DIPS_PLANTED_IN_A_10_5_BIT_MEMBER,
+    ],
+    ids=[
+        "range-26-term-by-term",
+        "range-24-list-in-bounded-memory",
+        "every-term-below-2^24-ranked-both-ways",
+        "wide-ranking-round-trips",
+        "dips-planted-in-a-10^5-bit-member",
+    ],
+)
+def test_long(program):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=LIMIT_S,
+    )
+    print(proc.stdout, end="")
+    assert proc.returncode == 0, proc.stderr

@@ -14,12 +14,15 @@ Height profiles returned by this module are indexed the same way
 want the left-to-right picture of the path.
 
 Membership, the step-word check, the successor and the valley depth all
-read that path from the low end a byte per step: two 256-entry tables
-built at import give each byte's net height change and its lowest height.
-Membership stops at the first byte in which the path dips below ground
-and walks only that byte digit by digit; the successor and the valley
-depth need just the lowest point of a path. The height profile, after
-the membership scan, is one C-level pass over the digits: each becomes a
+read that path from the low end a byte per step: 256-entry tables built
+at import give each byte's net height change, its lowest height, and its
+depth, the least height from which its steps stay on or above ground.
+Membership pays one depth read and one compare per byte besides the
+height step; it stops at the first byte that starts below its depth,
+takes that byte's index from the count of bytes not yet read, and walks
+only that byte digit by digit. The successor and the valley depth need
+just the lowest point of a path. The height profile, after the
+membership scan, is one C-level pass over the digits: each becomes a
 signed byte step, and the running sums are taken over those bytes.
 
 All functions are pure and operate on plain ``int`` values of any size.
@@ -96,24 +99,31 @@ class NotDyckWordError(ValueError):
 
 
 # The path is read from the low end one byte at a time, low bit first
-# (1 = up, 0 = down), through two 256-entry tables per byte value: the net
+# (1 = up, 0 = down), through 256-entry tables per byte value: the net
 # height change and the lowest height after any of its eight steps, both
 # relative to the start of the byte. These are the block excess and
 # min-excess tables of range min-max trees (Navarro & Sadakane, ACM TALG
 # 2014).
 _NET = [2 * b.bit_count() - 8 for b in range(256)]
 _LOW = [min(accumulate(2 * (b >> i & 1) - 1 for i in range(8))) for b in range(256)]
+# the least height from which a byte's steps stay on or above ground, so
+# byte b dips below ground from level exactly when level < _DEPTH[b]
+_DEPTH = [-low for low in _LOW]
 
 
 def _dip(n: int, width: int) -> int | None:
     # first bit position, counted from the low end of the width-bit walk n,
     # at which the height goes below 0; None if it never does
     level = 0
+    size = (width + 7) // 8
     # length and byteorder both given, positionally: Python 3.10 has no
     # defaults for them, and only the CI's 3.10 leg would catch an omission
-    for i, b in enumerate(n.to_bytes((width + 7) // 8, "little")):
-        if level + _LOW[b] < 0:
-            pos = 8 * i
+    rest = iter(n.to_bytes(size, "little"))
+    for b in rest:
+        if level < _DEPTH[b]:
+            # b's index, from the count of bytes the loop has not read yet;
+            # no byte before the dip pays for counting
+            pos = 8 * (size - 1 - rest.__length_hint__())
             while b & 1 or level:
                 level += 1 if b & 1 else -1
                 b >>= 1
@@ -143,7 +153,10 @@ def violating_suffix(n: int) -> str | None:
     Returns the suffix as a left-to-right digit string, or None when n is
     a Dyck number. Scans from the low end a byte at a time, so the byte in
     which the running 1s-minus-0s balance first dips below zero ends the
-    search.
+    search. Each byte costs one table read and one compare: the balance
+    dips in a byte exactly when it starts that byte below the byte's
+    depth, the least balance from which its digits keep it at zero or
+    above.
     """
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")

@@ -77,6 +77,60 @@ def _recount(d):
     return heights
 
 
+def _ground_walk(rng, steps):
+    # the digits of a random walk of an even number of steps that never
+    # dips and ends on the ground, first step lowest
+    d = h = 0
+    for p in range(steps):
+        bit = 1 if h == 0 else 0 if h == steps - p else rng.getrandbits(1)
+        d |= bit << p
+        h += 1 if bit else -1
+    return d
+
+
+class TestWideDips:
+    """The dip's position, recovered from the bytes the scan has not read.
+
+    A member of 10^4 + 5 bits, so that its top byte is partial, gets a dip
+    planted at each offset of four of its bytes. A path first dips after
+    an odd number of steps, at an even digit, so the dip for an odd offset
+    lands on the next digit, the next byte's first for offset 7.
+    """
+
+    WIDTH = 10**4 + 5
+    BYTES = {
+        "first": 0,
+        "middle": WIDTH // 16,
+        "last-full": WIDTH // 8 - 1,
+        "partial-top": WIDTH // 8,
+    }
+
+    @pytest.mark.parametrize("offset", range(8))
+    @pytest.mark.parametrize("byte", BYTES)
+    def test_planted_dip(self, byte, offset):
+        rng = random.Random(8 * self.BYTES[byte] + offset)
+        d = _random_member(rng, self.WIDTH)
+        q = 8 * self.BYTES[byte] + offset + offset % 2
+        # a walk on the ground through digit q - 1, a down step at q, and
+        # the member's digits above, with at least a 1 above q
+        n = (d >> q + 1 | 1) << q + 1 | _ground_walk(rng, q)
+        dip = next(p for p, h in enumerate(_recount(n)) if h < 0)
+        assert dip == q
+        assert core.violating_suffix(n) == bin(n)[-(dip + 1) :]
+        with pytest.raises(core.NotDyckNumberError) as exc_info:
+            core.successor(n)
+        assert exc_info.value.suffix == bin(n)[-(dip + 1) :]
+
+    def test_zero_padding_of_the_top_byte_is_no_dip(self):
+        # a member ending at height 1 with 5 digits in its top byte: the
+        # second of the three padding zeros above it would reach height -1
+        n = 1 << self.WIDTH - 1 | _ground_walk(random.Random(0), self.WIDTH - 1)
+        assert n.bit_length() == self.WIDTH and self.WIDTH % 8 == 5
+        assert _recount(n)[-1] == 1 and min(_recount(n)) >= 0
+        assert core.violating_suffix(n) is None
+        assert core.is_dyck_number(n)
+
+
 class TestHeightProfile:
     def test_small(self):
         assert core.height_profile(5) == [1, 0, 1]
@@ -332,6 +386,8 @@ class TestByteTables:
             net, lowest = self.recount(b)
             assert core._NET[b] == net, b
             assert core._LOW[b] == lowest, b
+            assert core._DEPTH[b] == -lowest, b
+        assert len(core._DEPTH) == 256
 
 
 @cache
