@@ -61,15 +61,31 @@ for i, d in enumerate(islice(sequence.iter_from(0), count), start=1):
         raise SystemExit(f"term {i}, {d}, does not rank both ways")
 """
 
-# seeded ordinals wider than the tier-1 round trips, and at 60-70 bits
-# across the end of the table of range first ranks (64 bits); index_of must
+# the 2,704,156 terms of range 25, the first that term_at and index_of find
+# in the tail of range first ranks, each checked against the block walk
+RANGE_25_RANKED_BOTH_WAYS = """
+from dycknum import sequence
+first = sequence.index_of((1 << 24) - 1) + 1
+if first != 2786657:
+    raise SystemExit(f"range 25 starts at ordinal {first}, not 2786657")
+i = first - 1
+for i, d in enumerate(sequence.iter_range(25), start=first):
+    if sequence.term_at(i) != d or sequence.index_of(d) != i:
+        raise SystemExit(f"term {i}, {d}, does not rank both ways")
+if i != 5490812:
+    raise SystemExit(f"range 25 ends at ordinal {i}, not 5490812")
+"""
+
+# seeded ordinals wider than the tier-1 round trips: at 24-27 bits, past
+# the terms below 2**24 into the table's tail of range first ranks, and at
+# 60-70 bits across the end of that tail (64 bits); index_of must
 # refuse seeded non-members, since it reads membership from its own count.
 # Nothing is converted to decimal, so no digit limit applies
 WIDE_RANKING_ROUND_TRIPS = """
 import random
 from dycknum import core, sequence
 rng = random.Random(2024)
-for bits in [*range(60, 71), 1000, 4000, 10**4]:
+for bits in [*range(24, 28), *range(60, 71), 1000, 4000, 10**4]:
     for _ in range(3):
         i = rng.getrandbits(bits) | 1 << (bits - 1)
         d = sequence.term_at(i)
@@ -155,6 +171,7 @@ for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
         RANGE_26_TERM_BY_TERM,
         RANGE_24_LIST_IN_BOUNDED_MEMORY,
         EVERY_TERM_BELOW_2_24_RANKED_BOTH_WAYS,
+        RANGE_25_RANKED_BOTH_WAYS,
         WIDE_RANKING_ROUND_TRIPS,
         DIPS_PLANTED_IN_A_10_5_BIT_MEMBER,
     ],
@@ -162,6 +179,7 @@ for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
         "range-26-term-by-term",
         "range-24-list-in-bounded-memory",
         "every-term-below-2^24-ranked-both-ways",
+        "range-25-ranked-both-ways",
         "wide-ranking-round-trips",
         "dips-planted-in-a-10^5-bit-member",
     ],

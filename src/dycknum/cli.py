@@ -186,6 +186,14 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
+        if reference.offset < 1:
+            # name the file's first index, not the ordinal term_at would refuse
+            print(
+                f"error: {args.check} starts at index {reference.offset}; "
+                f"A036991's indices start at 1",
+                file=sys.stderr,
+            )
+            return 1
         terms = sequence.iter_from(sequence.term_at(reference.offset))
         values = tuple(islice(terms, len(reference)))
         report = bfile.compare(bfile.BFile(reference.offset, values), reference)

@@ -7,19 +7,19 @@ read from the low end with 1 as a step up and 0 as a step down, is a walk
 that never goes below 0; every such walk occurs. Range k therefore holds
 C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
 
-term_at and index_of rank and unrank exactly. Below 2**24, a table built
-on the first ranking past the terms below 2**12 holds each 12-digit high
-part's row of low blocks and the rank at which it starts, so a rank
-there takes one bisection and one index. From 25 bits on they count the
-walks with ballot numbers: a range is found in a table of the ranks at
-which ranges of 13 to 64 bits start, wider ones by their sizes, and each
-count is stepped from the one before by one multiply and one exact
-divide by small integers, so an ordinal costs O(k) such steps and no
-successor steps. index_of reads membership from the same tables: the
-digits above the lowest 12 fix the row of low blocks that can complete
-them, and the input is a Dyck number exactly when its lowest 12 digits
-are in that row, so only a refusal scans the input to name its
-violating suffix.
+term_at and index_of rank and unrank exactly through one table of first
+ranks, built on the first ranking past the terms below 2**12: the rank
+at which each 12-digit high part's row of low blocks starts, and then
+the counts of Dyck numbers below 2**k for k = 25..64. A rank below 2**24
+takes one bisection of it and one index into a row. From 25 bits on they
+count the walks with ballot numbers: a range of up to 64 bits is found
+in the same table, wider ones by their sizes, and each count is stepped
+from the one before by one multiply and one exact divide by small
+integers, so an ordinal costs O(k) such steps and no successor steps.
+index_of reads membership once, from a row of low blocks: the digits
+above the lowest 12 fix the row that can complete them, and the input is
+a Dyck number exactly when its lowest 12 digits are in that row, so only
+a refusal scans the input to name its violating suffix.
 
 iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
@@ -195,60 +195,53 @@ def _completions(r: int, need: int) -> int:
     return comb(r, (r + need + 1) // 2)
 
 
-def _ranges() -> Iterator[tuple[int, int]]:
-    # (m, C(m, m // 2)) for m = _B, _B + 1, ...: the ranges whose terms
-    # have m digits below the leading 1, with their sizes, each stepped
-    # from the one before: C(m + 1, (m + 1) // 2) is C(m, m // 2) times
+def _ranges(m: int) -> Iterator[tuple[int, int]]:
+    # (m, C(m, m // 2)) from the given m on: the ranges whose terms have m
+    # digits below the leading 1, with their sizes, each stepped from the
+    # one before: C(m + 1, (m + 1) // 2) is C(m, m // 2) times
     # (m + 1)/(m/2 + 1) for even m and times 2 for odd m
-    m, size = _B, comb(_B, _B // 2)
+    size = comb(m, m // 2)
     while True:
         yield m, size
         size = size * 2 if m % 2 else size * (m + 1) // (m // 2 + 1)
         m += 1
 
 
-# ranges of 13 to 64 bits, whose first ranks _firsts() holds
-_TABLED = 52
-
-
-@cache
-def _firsts() -> tuple[int, ...]:
-    # entry t: the terms past the small table that come before range
-    # _B + 1 + t, for t = 0.._TABLED, so the last entry is where range
-    # _B + 1 + _TABLED (65 bits) starts and the sizes are the differences
-    return tuple(
-        accumulate((size for _, size in islice(_ranges(), _TABLED)), initial=0)
-    )
+# the ranges of 25 to 64 bits, whose sizes _high_parts()'s starts go on to sum
+_TABLED = 40
 
 
 @cache
 def _high_parts() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     # (rows, starts): rows[h] the low blocks that complete the high part h,
     # and starts[h] the Dyck numbers below h << _B; needs[h] = -_lowest(h),
-    # stepped from h >> 1 by the digit read first, is at most _B - 1
+    # stepped from h >> 1 by the digit read first, is at most _B - 1. Past
+    # starts[1 << _B], the count below 2**(2 * _B), the range sizes go on
+    # to the count below 2**(2 * _B + t) at starts[(1 << _B) + t]
     small, tails = _tables()
     needs = [0]
     for h in range(1, 1 << _B):
         g = needs[h >> 1]
         needs.append((g - 1 if g else 0) if h & 1 else g + 1)
     rows = (small, *(tails[need] for need in needs[1:]))
-    return rows, tuple(accumulate(map(len, rows), initial=0))
+    sizes = (size for _, size in islice(_ranges(2 * _B), _TABLED))
+    return rows, tuple(accumulate(chain(map(len, rows), sizes), initial=0))
 
 
 def term_at(i: int) -> int:
     """The i-th Dyck number, 1-based, with term_at(1) = 0.
 
-    The terms below 2**12 come from a table, and those below 2**24 from
-    one bisection of the ranks at which the 12-digit high parts start and
-    one index into that high part's row of low blocks. From 25 bits on,
-    the range is found by one bisection of a table of the ranks at which
-    ranges of 13 to 64 bits start; a wider range is reached by skipping
-    whole ranges by their exact sizes. Then the digits below the leading 1
-    are chosen from the top down: a 0 is kept while the rank left is below
-    the number of walks that complete it, and the last 12 digits are read
-    from the table of low blocks. Each count is stepped from the one
-    before by one multiply and one exact divide by small integers, so a
-    k-bit term costs O(k) such steps on numbers of at most k bits.
+    The terms below 2**12 come from a table. Past them, one bisection of a
+    table of first ranks places i: below 2**24 at a 12-digit high part,
+    whose row of low blocks it then indexes, and up to 64 bits in a range,
+    whose first rank and size the table holds; a wider range is reached by
+    skipping whole ranges from 65 bits on by their exact sizes. Then the
+    digits below the leading 1 are chosen from the top down: a 0 is kept
+    while the rank left is below the number of walks that complete it, and
+    the last 12 digits are read from the table of low blocks. Each count
+    is stepped from the one before by one multiply and one exact divide by
+    small integers, so a k-bit term costs O(k) such steps on numbers of at
+    most k bits.
     """
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
@@ -256,17 +249,14 @@ def term_at(i: int) -> int:
     if i <= len(small):
         return small[i - 1]
     rows, starts = _high_parts()
-    if i <= starts[-1]:
-        h = bisect_right(starts, i - 1) - 1
-        return h << _B | rows[h][i - 1 - starts[h]]
-    rank = i - 1 - len(small)
-    firsts = _firsts()
-    t = bisect_right(firsts, rank) - 1
-    if t < _TABLED:
-        m, size = _B + t, firsts[t + 1] - firsts[t]
-        rank -= firsts[t]
+    h = bisect_right(starts, i - 1) - 1
+    rank = i - 1 - starts[h]
+    if h < len(rows):
+        return h << _B | rows[h][rank]
+    if h + 1 < len(starts):
+        m, size = h - len(rows) + 2 * _B, starts[h + 1] - starts[h]
     else:
-        for m, size in _ranges():
+        for m, size in _ranges(2 * _B + _TABLED):
             if rank < size:
                 break
             rank -= size
@@ -302,59 +292,52 @@ def index_of(d: int) -> int:
     The ordinal is the exact count of Dyck numbers below d plus one. Below
     2**24 it is the rank at which d's high part starts, from term_at's
     table, plus the place of its last 12 digits in that part's row. Above,
-    it adds the sizes of the shorter ranges, read from term_at's table of
-    first ranks up to 64 bits and summed above it, then, at each 1-digit of
-    d below its leading 1, the terms that carry a 0 there instead, stepped
+    it adds the count below d's range, read from the same table up to 64
+    bits and summed from range sizes above it, then, at each 1-digit of d
+    below its leading 1, the terms that carry a 0 there instead, stepped
     as in term_at. Terms below 2**12 and the last 12 digits are placed in
-    their tables by bisection, which decides membership too: d is a Dyck
-    number exactly when it is found in the table of small terms, or when its
-    last 12 digits are in the row of low blocks that the digits above them
-    need. Otherwise NotDyckNumberError is raised, with the violating suffix
-    that a scan of d names, and ValueError for d < 0.
+    their tables by one bisection, which decides membership too: d is a
+    Dyck number exactly when it is found in the table of small terms, or
+    when its last 12 digits are in the row of low blocks that the digits
+    above them need. Otherwise NotDyckNumberError is raised, with the
+    violating suffix that a scan of d names, and ValueError for d < 0.
     """
     small, tails = _tables()
+    w = d & ((1 << _B) - 1)
     if d < 0 or not d >> _B:
-        at = bisect_left(small, d)
-        if small[at : at + 1] == (d,):
-            return at + 1
-        raise core.NotDyckNumberError(d, core.violating_suffix(d))
-    if not d >> 2 * _B:
+        row, w, ordinal = small, d, 1
+    elif not d >> 2 * _B:
         rows, starts = _high_parts()
-        h, w = d >> _B, d & ((1 << _B) - 1)
-        at = bisect_left(rows[h], w)
-        if rows[h][at : at + 1] == (w,):
-            return starts[h] + at + 1
-        raise core.NotDyckNumberError(d, core.violating_suffix(d))
-    top = d.bit_length() - 1
-    ordinal = len(small) + 1
-    if top < _B + _TABLED:
-        firsts = _firsts()
-        m, t = top, top - _B
-        size = firsts[t + 1] - firsts[t]
-        ordinal += firsts[t]
+        row, ordinal = rows[d >> _B], starts[d >> _B] + 1
     else:
-        for m, size in _ranges():
-            if m == top:
-                break
-            ordinal += size
-    need = 0
-    # c and j as in term_at
-    j, c = (m + 1) // 2, size
-    for r, bit in zip(range(m, _B, -1), bin(d)[3 : 3 + m - _B]):
-        if (r + need + 1) // 2 == j:
-            c = c * (r - j) // r
+        rows, starts = _high_parts()
+        top = d.bit_length() - 1
+        t = top - 2 * _B + len(rows)
+        if t + 1 < len(starts):
+            m, size, ordinal = top, starts[t + 1] - starts[t], starts[t] + 1
         else:
-            c = c * j // r
-            j -= 1
-        if bit == "1":
-            ordinal += c
-            need = need - 1 if need else 0
-        else:
-            need += 1
-    # past _B, the digits above the block dip deeper than any block climbs
-    if need <= _B:
-        row, w = tails[need], d & ((1 << _B) - 1)
-        at = bisect_left(row, w)
-        if row[at : at + 1] == (w,):
-            return ordinal + at
+            ordinal = starts[-1] + 1
+            for m, size in _ranges(2 * _B + _TABLED):
+                if m == top:
+                    break
+                ordinal += size
+        need = 0
+        # c and j as in term_at
+        j, c = (m + 1) // 2, size
+        for r, bit in zip(range(m, _B, -1), bin(d)[3 : 3 + m - _B]):
+            if (r + need + 1) // 2 == j:
+                c = c * (r - j) // r
+            else:
+                c = c * j // r
+                j -= 1
+            if bit == "1":
+                ordinal += c
+                need = need - 1 if need else 0
+            else:
+                need += 1
+        # past _B, the digits above the block dip deeper than any block climbs
+        row = tails[need] if need <= _B else ()
+    at = bisect_left(row, w)
+    if row[at : at + 1] == (w,):
+        return ordinal + at
     raise core.NotDyckNumberError(d, core.violating_suffix(d))

@@ -313,6 +313,15 @@ class TestBFileCommand:
         assert (code, out) == (1, "")
         assert err == f"error: {path} has no data lines to check against\n"
 
+    @pytest.mark.parametrize("first", [0, -1])
+    def test_check_refuses_a_first_index_below_1(self, capsys, tmp_path, first):
+        # refused by the file's own index, before any term is generated
+        path = tmp_path / "b.txt"
+        path.write_text(f"{first} 0\n{first + 1} 1\n")
+        code, out, err = run(capsys, "bfile", "--check", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} starts at index {first}; A036991's indices start at 1\n"
+
 
     def test_check_reads_utf8_under_the_c_locale(self, tmp_path):
         # a comment outside ASCII must not depend on the locale's encoding

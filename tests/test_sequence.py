@@ -325,19 +325,19 @@ class TestBlockWalk:
             "assert sequence._tables.cache_info().currsize == 1\n"
             "next(sequence.iter_from(1 << 20 | 4095))\n"
             "assert sequence._tables.cache_info().currsize == 1\n"
-            # the high-part table is built past the 989 small terms only,
-            # and the first-rank table past the terms below 2**24 only
+            # the table of first ranks is built past the 989 small terms only
             "sequence.index_of(sequence.term_at(989))\n"
             "assert sequence._high_parts.cache_info().currsize == 0\n"
-            "assert sequence._firsts.cache_info().currsize == 0\n"
             "sequence.term_at(990)\n"
             "assert sequence._high_parts.cache_info().currsize == 1\n"
-            "assert sequence._firsts.cache_info().currsize == 0\n"
-            "last = sequence._high_parts()[1][-1]\n"
-            "sequence.index_of(sequence.term_at(last))\n"
-            "assert sequence._firsts.cache_info().currsize == 0\n"
-            "sequence.term_at(last + 1)\n"
-            "assert sequence._firsts.cache_info().currsize == 1\n"
+            # ranking past 2**24, in the table's tail and past its end,
+            # builds no table beside these two
+            "last = sequence._high_parts()[1][1 << sequence._B]\n"
+            "for i in (last, last + 1, 1 << 64, 1 << 100):\n"
+            "    sequence.index_of(sequence.term_at(i))\n"
+            "built = {name: f.cache_info().currsize\n"
+            "         for name, f in vars(sequence).items() if hasattr(f, 'cache_info')}\n"
+            "assert built == {'_tables': 1, '_high_parts': 1}, built\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
@@ -550,14 +550,17 @@ def _last_ordinal(k):
 
 class TestFirstRankTable:
     def test_entries_are_the_summed_range_sizes(self):
-        firsts = sequence._firsts()
-        assert len(firsts) == sequence._TABLED + 1
-        small = len(sequence._tables()[0])
-        for t, first in enumerate(firsts):
-            k = sequence._B + 1 + t
-            assert first == _last_ordinal(k - 1) - small, k
+        # past the high parts' first ranks, entry k - 24 of the tail counts
+        # the terms below 2**k, for k = 24..64
+        rows, starts = sequence._high_parts()
+        tail = starts[len(rows) :]
+        assert len(tail) == sequence._TABLED + 1
+        for k, first in enumerate(tail, start=2 * sequence._B):
+            assert first == _last_ordinal(k), k
 
-    @pytest.mark.parametrize("k", range(60, 71))
+    # both seams: the high parts' ranks into the tail (24 bits), and the
+    # tail's end into stepped range sizes (64 bits)
+    @pytest.mark.parametrize("k", [*range(24, 28), *range(60, 71)])
     def test_range_edges_across_the_table_end(self, k):
         first, last = _last_ordinal(k - 1) + 1, _last_ordinal(k)
         assert sequence.term_at(first) == core.mersenne_successor(k - 1)
@@ -573,8 +576,8 @@ class TestHighPartTable:
 
     def test_last_start_counts_the_terms_below_2_to_24(self):
         rows, starts = sequence._high_parts()
-        assert len(rows) == len(starts) - 1 == 1 << sequence._B
-        assert starts[-1] == 1 + sum(sequence.central_binomial(j) for j in range(24))
+        assert len(rows) == 1 << sequence._B
+        assert starts[1 << sequence._B] == 1 + sum(sequence.central_binomial(j) for j in range(24))
 
     def test_each_high_part_starts_at_its_least_term(self):
         # the term before each start is a Dyck number below h << 12 whose
