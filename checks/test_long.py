@@ -107,7 +107,11 @@ for bits in [*range(24, 28), *range(60, 71), 1000, 4000, 10**4]:
 
 # the membership scan takes a dip's byte index from the count of bytes it
 # has not read; tier-1 plants dips up to 10^4 + 5 bits, this at every
-# offset of the first, a middle and the last byte of a 10^5-bit member
+# offset of the first, a middle and the last byte of a 10^5-bit member,
+# refused by the membership scan and by the one pass of the successor and
+# the valley depth; the member's successor and valley depth are checked
+# against references that read one digit at a time (the benchmark checks
+# them at 10^4 bits)
 DIPS_PLANTED_IN_A_10_5_BIT_MEMBER = """
 import random
 from dycknum import core
@@ -139,11 +143,47 @@ def first_dip(n):
             return p
     return None
 
+def valley_depth(d):
+    # the least height just before a 0 digit is followed by a 1 digit
+    h, depth, previous = 0, None, "1"
+    for digit in bin(d)[:1:-1]:
+        if previous == "0" and digit == "1" and (depth is None or h < depth):
+            depth = h
+        h += 1 if digit == "1" else -1
+        previous = digit
+    return depth
+
+def successor(d):
+    # colex search: a larger number first differs from d at a 0 digit p (or
+    # the new top digit p = length), where it has a 1; the digits below p
+    # take the fewest 1s, packed at the bottom, that keep every suffix
+    # balanced, and the lowest feasible p wins
+    bits = bin(d)[:1:-1]
+    length = len(bits)
+    # lowest[j]: the least partial sum of the steps j, j + 1, ..., from j
+    lowest, run = [0] * (length + 1), None
+    for j in range(length - 1, -1, -1):
+        step = 1 if bits[j] == "1" else -1
+        run = step if run is None else step + min(0, run)
+        lowest[j] = run
+    for p in range(length):
+        if bits[p] == "1":
+            continue
+        need = max(0, -1 - min(0, lowest[p + 1] if p + 1 < length else 0))
+        need += (need - p) % 2
+        if need <= p:
+            return d >> p + 1 << p + 1 | 1 << p | (1 << (p + need) // 2) - 1
+    return 1 << length | (1 << (length + 1) // 2) - 1
+
 member = steps(WIDTH, ground=False)
 if member.bit_length() != WIDTH or first_dip(member) is not None:
     raise SystemExit("the 10^5-bit walk is not a 10^5-bit member")
 if core.violating_suffix(member) is not None:
     raise SystemExit("violating_suffix refused a 10^5-bit member")
+if core.valley_depth(member) != valley_depth(member):
+    raise SystemExit("valley_depth of the 10^5-bit member differs from a digit recount")
+if core.successor(member) != successor(member):
+    raise SystemExit("successor of the 10^5-bit member differs from a colex search")
 # a path first dips after an odd number of steps, at an even digit, so the
 # dip for an odd offset lands on the next digit
 for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
@@ -155,13 +195,14 @@ for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
             raise SystemExit(f"the dip planted at digit {q} is at {dip}")
         if core.violating_suffix(n) != bin(n)[-(dip + 1) :]:
             raise SystemExit(f"violating_suffix misplaces the dip at digit {q}")
-        try:
-            core.successor(n)
-        except core.NotDyckNumberError as exc:
-            if exc.suffix != bin(n)[-(dip + 1) :]:
-                raise SystemExit(f"NotDyckNumberError misplaces the dip at digit {q}")
-        else:
-            raise SystemExit(f"successor accepted the dip at digit {q}")
+        for refuse in (core.successor, core.valley_depth):
+            try:
+                refuse(n)
+            except core.NotDyckNumberError as exc:
+                if exc.suffix != bin(n)[-(dip + 1) :]:
+                    raise SystemExit(f"{refuse.__name__} misplaces the dip at digit {q}")
+            else:
+                raise SystemExit(f"{refuse.__name__} accepted the dip at digit {q}")
 """
 
 

@@ -13,17 +13,19 @@ Height profiles returned by this module are indexed the same way
 (entry 0 belongs to the least significant digit); reverse them when you
 want the left-to-right picture of the path.
 
-Membership, the step-word check, the successor and the valley depth all
-read that path from the low end a byte per step: 256-entry tables built
-at import give each byte's net height change, its lowest height, and its
-depth, the least height from which its steps stay on or above ground.
-Membership pays one depth read and one compare per byte besides the
-height step; it stops at the first byte that starts below its depth,
+Membership, the step-word codec, the successor and the valley depth all
+read that path through one scanner, from the low end a byte per step:
+256-entry tables built at import give each byte's net height change and
+its depth, the least height from which its steps stay on or above
+ground. The scanner keeps the height above the lowest point so far and
+reads a byte's depth only while that height is below 8, since a byte
+drops at most 8. It stops at the first byte that goes below ground,
 takes that byte's index from the count of bytes not yet read, and walks
-only that byte digit by digit. The successor and the valley depth need
-just the lowest point of a path. The height profile, after the
-membership scan, is one C-level pass over the digits: each becomes a
-signed byte step, and the running sums are taken over those bytes.
+only that byte digit by digit. So one pass both validates a path and
+finds its lowest point, which is all the successor and the valley depth
+need. The height profile, after the membership scan, is one C-level pass
+over the digits: each becomes a signed byte step, and the running sums
+are taken over those bytes.
 
 All functions are pure and operate on plain ``int`` values of any size.
 """
@@ -37,7 +39,8 @@ UP = "U"
 DOWN = "D"
 
 _BITS_TO_STEPS = str.maketrans("01", UP + DOWN)
-_STEPS_TO_BITS = str.maketrans(UP + DOWN, "01")
+# a step word's characters as binary digits: U -> 1, D -> 0, anything else
+# -> x (a non-ASCII character encodes to a single "?")
 _WORD_TO_WALK = bytes(
     ord("1") if c == ord(UP) else ord("0") if c == ord(DOWN) else ord("x") for c in range(256)
 )
@@ -111,40 +114,47 @@ _LOW = [min(accumulate(2 * (b >> i & 1) - 1 for i in range(8))) for b in range(2
 _DEPTH = [-low for low in _LOW]
 
 
-def _dip(n: int, width: int) -> int | None:
-    # first bit position, counted from the low end of the width-bit walk n,
-    # at which the height goes below 0; None if it never does
-    level = 0
-    size = (width + 7) // 8
+def _scan(n: int, width: int, level: int = 0) -> int:
+    # the lowest height of the width-bit walk n started at level >= 0, or,
+    # if the walk goes below 0, ~p for the first bit position p, counted
+    # from the low end, at which it does; the top byte is padded with up
+    # steps, which can neither dip nor lower the minimum
+    if n < 0:
+        raise ValueError(f"expected a natural number, got {n}")
+    low, up = level, 0  # the lowest height so far, and the current height above it
+    size = width + 15 >> 3
     # length and byteorder both given, positionally: Python 3.10 has no
     # defaults for them, and only the CI's 3.10 leg would catch an omission
-    rest = iter(n.to_bytes(size, "little"))
+    rest = iter((n | 255 << width).to_bytes(size, "little"))
     for b in rest:
-        if level < _DEPTH[b]:
-            # b's index, from the count of bytes the loop has not read yet;
-            # no byte before the dip pays for counting
-            pos = 8 * (size - 1 - rest.__length_hint__())
-            while b & 1 or level:
-                level += 1 if b & 1 else -1
-                b >>= 1
-                pos += 1
-            # past width the dip comes from the zero padding of the top byte
-            return pos if pos < width else None
-        level += _NET[b]
-    return None
+        # a byte drops at most 8, so only below 8 can it reach a new low
+        if up < 8 and up < _DEPTH[b]:
+            level = low + up
+            if level < _DEPTH[b]:
+                # b's index, from the count of bytes the loop has not read
+                # yet; no byte before the dip pays for counting
+                pos = 8 * (size - 1 - rest.__length_hint__())
+                while b & 1 or level:
+                    level += 1 if b & 1 else -1
+                    b >>= 1
+                    pos += 1
+                return ~pos
+            low, up = level - _DEPTH[b], _DEPTH[b]
+        up += _NET[b]
+    return low
 
 
 def _lowest(n: int) -> int:
-    # lowest height of the walk n, its start included; the top byte is
-    # padded with up steps, since down steps there could reach below the
-    # walk's own minimum
-    width = n.bit_length()
-    level = lowest = 0
-    for b in (n | 255 << width).to_bytes((width + 15) // 8, "little"):
-        if level + _LOW[b] < lowest:
-            lowest = level + _LOW[b]
-        level += _NET[b]
-    return lowest
+    # lowest height of the walk n, its start included; started at its own
+    # width, the walk cannot dip
+    w = n.bit_length()
+    return _scan(n, w, w) - w
+
+
+def _suffix(n: int, pos: int) -> str:
+    # the digits of n from bit pos down, left to right (zfill takes half the
+    # time of a format spec at 22 bits)
+    return bin(n & (1 << pos + 1) - 1)[2:].zfill(pos + 1)
 
 
 def violating_suffix(n: int) -> str | None:
@@ -153,18 +163,13 @@ def violating_suffix(n: int) -> str | None:
     Returns the suffix as a left-to-right digit string, or None when n is
     a Dyck number. Scans from the low end a byte at a time, so the byte in
     which the running 1s-minus-0s balance first dips below zero ends the
-    search. Each byte costs one table read and one compare: the balance
-    dips in a byte exactly when it starts that byte below the byte's
-    depth, the least balance from which its digits keep it at zero or
-    above.
+    search. The balance dips in a byte exactly when it starts that byte
+    below the byte's depth, the least balance from which its digits keep
+    it at zero or above. A byte lowers the balance by at most 8, so the
+    depth is read only while the balance is below 8.
     """
-    if n < 0:
-        raise ValueError(f"expected a natural number, got {n}")
-    pos = _dip(n, n.bit_length())
-    if pos is None:
-        return None
-    width = pos + 1
-    return format(n & ((1 << width) - 1), f"0{width}b")
+    low = _scan(n, n.bit_length())
+    return None if low >= 0 else _suffix(n, ~low)
 
 
 def is_dyck_number(n: int) -> bool:
@@ -172,20 +177,20 @@ def is_dyck_number(n: int) -> bool:
 
     is_dyck_number(0) is True: zero encodes the empty path.
     """
-    return violating_suffix(n) is None
+    return _scan(n, n.bit_length()) >= 0
 
 
 def _require_dyck(n: int) -> None:
-    suffix = violating_suffix(n)
-    if suffix is not None:
-        raise NotDyckNumberError(n, suffix)
+    low = _scan(n, n.bit_length())
+    if low < 0:
+        raise NotDyckNumberError(n, _suffix(n, ~low))
 
 
 def repunit_suffix_len(n: int) -> int:
     """Number of trailing 1-digits of n (0 for n = 0 and for even n)."""
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
-    return ((n + 1) & -(n + 1)).bit_length() - 1
+    return (n ^ n + 1).bit_length() - 1
 
 
 def mersenne(k: int) -> int:
@@ -233,21 +238,16 @@ def valley_depth(d: int) -> int | None:
     before that ascent. Mersenne numbers and 0 have no 0-digit inside the
     expansion, hence no valley and a None depth. Above the trailing 1-run
     every step either climbs out of a valley or descends into one, so the
-    deepest valley is the lowest point of the path there, found a byte
-    per step.
+    deepest valley is the lowest point of the path there. One pass over
+    those digits, a byte per step, finds it and validates d.
     """
-    _require_dyck(d)
-    rep = repunit_suffix_len(d)
-    if rep == d.bit_length():
+    rep, width = repunit_suffix_len(d), d.bit_length()
+    if rep == width:
         return None
-    return rep + _lowest(d >> rep)
-
-
-def _successor_unchecked(d: int) -> int:
-    if d & 7 != 7:
-        # a trailing 1-run of at most two digits, or d = 0
-        return d + 2 if d else 1
-    return d + (1 << -(_lowest(d + 1) // 2))
+    low = _scan(d >> rep, width - rep, rep)
+    if low < 0:
+        raise NotDyckNumberError(d, _suffix(d, ~low + rep))
+    return low
 
 
 def successor(d: int) -> int:
@@ -258,29 +258,32 @@ def successor(d: int) -> int:
     from 0 to 1 lifts every later height by 2, and the fewest such digits
     are the lowest ones, so the successor is d + 2**ceil(-L/2). For the
     Mersenne number 2**k - 1, L = -k; a trailing 1-run of at most two
-    digits gives d + 2, and 0 gives 1. No candidates are scanned:
-    validation and the lowest-point search each read the binary expansion
-    a byte per step through precomputed tables, so the cost is linear in
-    the bit length with a small constant. Raises NotDyckNumberError on
-    non-Dyck input.
+    digits gives d + 2, and 0 gives 1. No candidates are scanned: with r
+    trailing 1-digits, L = min(-r, V - 2r + 2), where V is the lowest
+    point of d's path above the run (its valley depth, see valley_depth).
+    One pass over those digits, a byte per step through precomputed
+    tables, finds V and validates d, so the cost is linear in the bit
+    length with a small constant. Raises NotDyckNumberError on non-Dyck
+    input.
     """
-    _require_dyck(d)
-    return _successor_unchecked(d)
+    rep = repunit_suffix_len(d)
+    low = _scan(d >> rep, d.bit_length() - rep, rep)
+    if low < 0:
+        raise NotDyckNumberError(d, _suffix(d, ~low + rep))
+    return d + (1 << -(min(-rep, low - 2 * rep + 2) // 2))
 
 
-def _word_violation(word: str) -> str | None:
-    # one digit per character: U -> 1, D -> 0, anything else -> x (a
-    # non-ASCII character encodes to a single "?"); the walk is the digits
-    # before the first x, reversed so that the first step is its low bit,
-    # and a dip in it comes before the invalid step that ends it
-    digits = word.encode("ascii", "replace").translate(_WORD_TO_WALK)
+def _word_violation(word: str, digits: bytes) -> str | None:
+    # the walk is the word's digits before the first x, reversed so that
+    # the first step is its low bit, and a dip in it comes before the
+    # invalid step that ends it
     steps = digits.find(b"x")
     if steps < 0:
         steps = len(digits)
     walk = int(digits[:steps][::-1] or b"0", 2)
-    pos = _dip(walk, steps)
-    if pos is not None:
-        return f"path dips below ground at step {pos + 1}"
+    low = _scan(walk, steps)
+    if low < 0:
+        return f"path dips below ground at step {~low + 1}"
     if steps < len(word):
         return f"invalid step {word[steps]!r} at position {steps} (expected U or D)"
     level = 2 * walk.bit_count() - steps
@@ -291,7 +294,8 @@ def _word_violation(word: str) -> str | None:
 
 def is_dyck_word(word: str) -> bool:
     """True for a balanced U/D string whose every prefix has #U >= #D."""
-    return _word_violation(word) is None
+    digits = word.encode("ascii", "replace").translate(_WORD_TO_WALK)
+    return _word_violation(word, digits) is None
 
 
 def to_dyck_word(d: int) -> str:
@@ -314,12 +318,16 @@ def from_dyck_word(word: str) -> int:
     Raises NotDyckWordError when the string is unbalanced, dips below
     ground, or contains characters other than U and D.
     """
-    reason = _word_violation(word)
-    if reason is not None:
-        raise NotDyckWordError(word, reason)
-    if not word:
-        return 0
-    return int(word.translate(_STEPS_TO_BITS), 2)
+    digits = word.encode("ascii", "replace").translate(_WORD_TO_WALK)
+    if b"x" not in digits:
+        ups = int(digits or b"0", 2)
+        if 2 * ups.bit_count() == len(digits):
+            # read from its low end, d is the balanced word read backwards
+            # with U and D swapped, which never dips exactly when it does
+            d = ups ^ (1 << len(digits)) - 1
+            if _scan(d, d.bit_length()) >= 0:
+                return d
+    raise NotDyckWordError(word, _word_violation(word, digits))
 
 
 def to_standard_code(d: int) -> int:

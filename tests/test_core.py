@@ -3,11 +3,12 @@
 import random
 import sys
 from functools import cache
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dycknum import core
+from dycknum import core, oracle
 
 # first 21 terms of A036991
 HEAD = [0, 1, 3, 5, 7, 11, 13, 15, 19, 21, 23, 27, 29, 31, 39, 43, 45, 47, 51, 53, 55]
@@ -77,6 +78,29 @@ def _recount(d):
     return heights
 
 
+def _heights(n, width):
+    # the heights of the width-digit walk n, one digit at a time from the low
+    # end, where digits past n's bit length are 0s
+    heights, h = [], 0
+    for p in range(width):
+        h += 1 if n >> p & 1 else -1
+        heights.append(h)
+    return heights
+
+
+def _is_member(n):
+    return min([0, *_heights(n, n.bit_length())]) >= 0
+
+
+def _word_heights(word):
+    # the heights of a U/D word's path, read from the left
+    heights, h = [], 0
+    for step in word:
+        h += 1 if step == "U" else -1
+        heights.append(h)
+    return heights
+
+
 def _ground_walk(rng, steps):
     # the digits of a random walk of an even number of steps that never
     # dips and ends on the ground, first step lowest
@@ -117,9 +141,21 @@ class TestWideDips:
         dip = next(p for p, h in enumerate(_recount(n)) if h < 0)
         assert dip == q
         assert core.violating_suffix(n) == bin(n)[-(dip + 1) :]
-        with pytest.raises(core.NotDyckNumberError) as exc_info:
-            core.successor(n)
-        assert exc_info.value.suffix == bin(n)[-(dip + 1) :]
+        for refuse in (core.successor, core.valley_depth):
+            with pytest.raises(core.NotDyckNumberError) as exc_info:
+                refuse(n)
+            assert exc_info.value.suffix == bin(n)[-(dip + 1) :]
+        # the word whose number is n, or n with 1s set above it so that the
+        # word can be balanced by leading U steps: read from its low end,
+        # the number dips at q, so the word is refused, and for its first
+        # dip read from the left
+        t = 2 * n.bit_count() - n.bit_length()
+        m = n | core.mersenne(max(0, -t)) << n.bit_length()
+        word = "U" * (t + max(0, -t)) + format(m, "b").translate(str.maketrans("01", "UD"))
+        step = next(i for i, h in enumerate(_word_heights(word), start=1) if h < 0)
+        with pytest.raises(core.NotDyckWordError) as exc_info:
+            core.from_dyck_word(word)
+        assert exc_info.value.reason == f"path dips below ground at step {step}"
 
     def test_zero_padding_of_the_top_byte_is_no_dip(self):
         # a member ending at height 1 with 5 digits in its top byte: the
@@ -129,6 +165,101 @@ class TestWideDips:
         assert _recount(n)[-1] == 1 and min(_recount(n)) >= 0
         assert core.violating_suffix(n) is None
         assert core.is_dyck_number(n)
+
+
+class TestScanner:
+    """core._scan, the one byte loop, against a walk one digit at a time."""
+
+    def test_every_walk_below_2_to_14(self):
+        # start levels 0..9 and widths bit_length .. bit_length + 9: the
+        # digits past the bit length are down steps, while the top byte's
+        # padding steps up and must not show
+        for n in range(1 << 14):
+            top = n.bit_length() + 9
+            heights = _heights(n, top)
+            lows = list(accumulate(heights, min, initial=0))
+            for level in range(10):
+                dip = next((p for p, h in enumerate(heights) if h < -level), top)
+                for width in range(n.bit_length(), top + 1):
+                    expected = ~dip if dip < width else level + lows[width]
+                    assert core._scan(n, width, level) == expected, (n, width, level)
+
+    def test_lowest_point(self):
+        for n in range(1 << 14):
+            assert core._lowest(n) == min([0, *_heights(n, n.bit_length())]), n
+
+    def test_successor_against_brute_force_below_2_to_20(self):
+        # every Dyck number below 2**12, then members of 13 to 20 bits,
+        # with trailing 1-runs of every length they can have
+        rng = random.Random(20)
+        members = [d for d in range(1 << 12) if _is_member(d)]
+        for width in range(13, 21):
+            members += [_random_member(rng, width) for _ in range(60)]
+            members += [core.mersenne(width), core.mersenne(width) ^ 1 << width - 2]
+        for d in members:
+            assert core.successor(d) == oracle.brute_successor(d), d
+
+    def test_valley_depth_against_a_per_digit_recount(self):
+        # depth: the least height just before a 0 digit is followed by a 1
+        rng = random.Random(14)
+        members = [d for d in range(1 << 14) if _is_member(d)]
+        members += [_random_member(rng, w) for w in (*range(60, 70), 255, 256, 257, 10**4)]
+        for d in members:
+            heights, bits = _recount(d), bin(d)[:1:-1]
+            valleys = [heights[p - 1] for p in range(1, len(bits)) if bits[p - 1 : p + 1] == "01"]
+            assert core.valley_depth(d) == (min(valleys) if valleys else None), d
+
+    def test_refusals_name_the_first_dip(self):
+        # successor and valley_depth refuse as the membership scan does:
+        # the same type, message and suffix for every non-member below 2**12
+        for n in range(1 << 12):
+            dip = next((p for p, h in enumerate(_heights(n, n.bit_length())) if h < 0), None)
+            if dip is None:
+                continue
+            suffix = bin(n)[-(dip + 1) :]
+            message = (
+                f"{n} is not a Dyck number: suffix {suffix} of its binary "
+                f"expansion has more 0s than 1s"
+            )
+            for refuse in (core.successor, core.valley_depth, core.height_profile):
+                with pytest.raises(core.NotDyckNumberError) as exc_info:
+                    refuse(n)
+                assert exc_info.value.args == (message,), (refuse, n)
+                assert (exc_info.value.value, exc_info.value.suffix) == (n, suffix)
+
+    @pytest.mark.parametrize(
+        "refuse", [core.successor, core.valley_depth, core.is_dyck_number, core.violating_suffix]
+    )
+    def test_negative_input(self, refuse):
+        with pytest.raises(ValueError) as exc_info:
+            refuse(-6)
+        assert type(exc_info.value) is ValueError
+        assert exc_info.value.args == ("expected a natural number, got -6",)
+
+    def test_every_short_word(self):
+        # refusals name the first invalid step or dip from the left, then
+        # the balance, whichever path the word took to its refusal
+        for length in range(11):
+            for steps in range(1 << length):
+                word = format(steps, f"0{length}b").translate(str.maketrans("01", "UD"))
+                heights = _word_heights(word)
+                dip = next((i for i, h in enumerate(heights, start=1) if h < 0), None)
+                level = heights[-1] if word else 0
+                if dip is None and level == 0:
+                    assert core.from_dyck_word(word) == int("0" + format(steps, "b"), 2)
+                    assert core.is_dyck_word(word)
+                    continue
+                reason = (
+                    f"path dips below ground at step {dip}"
+                    if dip is not None
+                    else f"unbalanced: {level} more up steps than down steps"
+                )
+                with pytest.raises(core.NotDyckWordError) as exc_info:
+                    core.from_dyck_word(word)
+                assert exc_info.value.reason == reason, word
+                assert exc_info.value.word == word
+                assert str(exc_info.value) == f"{word!r} is not a Dyck word: {reason}"
+                assert not core.is_dyck_word(word)
 
 
 class TestHeightProfile:
@@ -337,6 +468,35 @@ class TestWordCodec:
             core.from_dyck_word("UU")
         with pytest.raises(core.NotDyckWordError, match="invalid step"):
             core.from_dyck_word("UXDD")
+
+    @pytest.mark.parametrize(
+        "word,reason",
+        [
+            ("0", "invalid step '0' at position 0 (expected U or D)"),
+            ("1", "invalid step '1' at position 0 (expected U or D)"),
+            ("UD01", "invalid step '0' at position 2 (expected U or D)"),
+            ("U_D", "invalid step '_' at position 1 (expected U or D)"),
+            ("U D", "invalid step ' ' at position 1 (expected U or D)"),
+            ("UD ", "invalid step ' ' at position 2 (expected U or D)"),
+            (" UD", "invalid step ' ' at position 0 (expected U or D)"),
+            ("0bUD", "invalid step '0' at position 0 (expected U or D)"),
+            ("0b10", "invalid step '0' at position 0 (expected U or D)"),
+            ("U\u00e9D", "invalid step '\u00e9' at position 1 (expected U or D)"),
+            ("UD\u0661", "invalid step '\u0661' at position 2 (expected U or D)"),
+            ("DU_", "path dips below ground at step 1"),
+        ],
+    )
+    def test_words_that_int_might_read(self, word, reason):
+        # int(..., 2) takes "0b", "_", spaces and digits of other scripts;
+        # none of them is a step
+        with pytest.raises(core.NotDyckWordError) as exc_info:
+            core.from_dyck_word(word)
+        assert exc_info.value.reason == reason
+        assert not core.is_dyck_word(word)
+
+    def test_empty_word(self):
+        assert core.from_dyck_word("") == 0
+        assert core.is_dyck_word("")
 
     def test_is_dyck_word(self):
         assert core.is_dyck_word("UDUD")

@@ -203,7 +203,7 @@ class TestExactRanking:
         def no_walk(d):
             raise AssertionError("ranking must not step the successor")
 
-        monkeypatch.setattr(core, "_successor_unchecked", no_walk)
+        monkeypatch.setattr(core, "successor", no_walk)
         d = sequence.term_at(10**18)
         assert d == 9983547819144068307
         assert sequence.index_of(d) == 10**18
@@ -216,7 +216,7 @@ def _plain_walk(d):
     # the per-term successor walk that block enumeration must reproduce
     while True:
         yield d
-        d = core._successor_unchecked(d)
+        d = core.successor(d)
 
 
 def _naive_lowest(n):
@@ -268,7 +268,7 @@ class TestBlockWalk:
         for h, following in zip(valid, valid[1:]):
             if h >> 13:
                 break
-            assert core._successor_unchecked(h) == following, h
+            assert core.successor(h) == following, h
         tails = sequence._tables()[1]
         valid = [h for h in range(1, 1 << 14) if lowest[h] >= -sequence._B]
         for h, following in zip(valid, valid[1:]):
