@@ -109,12 +109,12 @@ for bits in [*range(24, 28), *range(60, 71), 1000, 4000, 10**4]:
 # has not read; tier-1 plants dips up to 10^4 + 5 bits, this at every
 # offset of the first, a middle and the last byte of a 10^5-bit member,
 # refused by the membership scan and by the one pass of the successor and
-# the valley depth; the member's successor and valley depth are checked
-# against references that read one digit at a time (the benchmark checks
-# them at 10^4 bits)
+# the valley depth; each dip and the member's valley depth are checked
+# against dycknum.oracle, which reads one digit at a time, and its
+# successor against a colex search (the benchmark checks them at 10^4 bits)
 DIPS_PLANTED_IN_A_10_5_BIT_MEMBER = """
 import random
-from dycknum import core
+from dycknum import core, oracle
 WIDTH = 10**5
 rng = random.Random(WIDTH)
 
@@ -133,25 +133,6 @@ def steps(width, ground):
         d |= bit << p
         h += 1 if bit else -1
     return d
-
-def first_dip(n):
-    # per-bit recount: the first digit at which ones minus zeros goes below 0
-    h = 0
-    for p, digit in enumerate(bin(n)[:1:-1]):
-        h += 1 if digit == "1" else -1
-        if h < 0:
-            return p
-    return None
-
-def valley_depth(d):
-    # the least height just before a 0 digit is followed by a 1 digit
-    h, depth, previous = 0, None, "1"
-    for digit in bin(d)[:1:-1]:
-        if previous == "0" and digit == "1" and (depth is None or h < depth):
-            depth = h
-        h += 1 if digit == "1" else -1
-        previous = digit
-    return depth
 
 def successor(d):
     # colex search: a larger number first differs from d at a 0 digit p (or
@@ -176,12 +157,12 @@ def successor(d):
     return 1 << length | (1 << (length + 1) // 2) - 1
 
 member = steps(WIDTH, ground=False)
-if member.bit_length() != WIDTH or first_dip(member) is not None:
+if member.bit_length() != WIDTH or oracle._violating_suffix(member) is not None:
     raise SystemExit("the 10^5-bit walk is not a 10^5-bit member")
 if core.violating_suffix(member) is not None:
     raise SystemExit("violating_suffix refused a 10^5-bit member")
-if core.valley_depth(member) != valley_depth(member):
-    raise SystemExit("valley_depth of the 10^5-bit member differs from a digit recount")
+if core.valley_depth(member) != oracle._valley_depth(member):
+    raise SystemExit("valley_depth of the 10^5-bit member differs from the oracle's")
 if core.successor(member) != successor(member):
     raise SystemExit("successor of the 10^5-bit member differs from a colex search")
 # a path first dips after an odd number of steps, at an even digit, so the
@@ -190,19 +171,33 @@ for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
     for offset in range(8):
         q = 8 * byte + offset + offset % 2
         n = (member >> q + 1 | 1) << q + 1 | steps(q, ground=True)
-        dip = first_dip(n)
-        if dip != q:
-            raise SystemExit(f"the dip planted at digit {q} is at {dip}")
-        if core.violating_suffix(n) != bin(n)[-(dip + 1) :]:
+        suffix = oracle._violating_suffix(n)
+        if suffix != bin(n)[-(q + 1) :]:
+            raise SystemExit(f"the dip planted at digit {q} is not the oracle's first")
+        if core.violating_suffix(n) != suffix:
             raise SystemExit(f"violating_suffix misplaces the dip at digit {q}")
         for refuse in (core.successor, core.valley_depth):
             try:
                 refuse(n)
             except core.NotDyckNumberError as exc:
-                if exc.suffix != bin(n)[-(dip + 1) :]:
+                if exc.suffix != suffix:
                     raise SystemExit(f"{refuse.__name__} misplaces the dip at digit {q}")
             else:
                 raise SystemExit(f"{refuse.__name__} accepted the dip at digit {q}")
+"""
+
+
+# 614 M terms counted by the lengths of 1.05 M rows of low blocks, up to
+# the CLI's counting bound, ten ranges past the 22 that the acceptance test
+# pins
+RANGE_SIZES_THROUGH_32_BY_THE_BLOCK_WALKS_ROWS = """
+import subprocess, sys
+argv = [sys.executable, "-m", "dycknum.cli", "verify-conjecture", "--max-range", "32"]
+proc = subprocess.run(argv, capture_output=True, text=True)
+if proc.returncode:
+    raise SystemExit(f"dyck verify-conjecture --max-range 32 exited {proc.returncode}")
+if "conjecture holds for ranges 1..32" not in proc.stdout.splitlines():
+    raise SystemExit("dyck verify-conjecture --max-range 32 did not print that it holds")
 """
 
 
@@ -215,6 +210,7 @@ for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
         RANGE_25_RANKED_BOTH_WAYS,
         WIDE_RANKING_ROUND_TRIPS,
         DIPS_PLANTED_IN_A_10_5_BIT_MEMBER,
+        RANGE_SIZES_THROUGH_32_BY_THE_BLOCK_WALKS_ROWS,
     ],
     ids=[
         "range-26-term-by-term",
@@ -223,6 +219,7 @@ for byte in (0, WIDTH // 16, WIDTH // 8 - 1):
         "range-25-ranked-both-ways",
         "wide-ranking-round-trips",
         "dips-planted-in-a-10^5-bit-member",
+        "range-sizes-through-32-by-the-block-walks-rows",
     ],
 )
 def test_long(program):

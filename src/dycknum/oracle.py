@@ -1,14 +1,26 @@
-"""Brute-force reference implementations used as test oracles.
+"""Slow references used as test oracles.
 
-Everything here recomputes from the defining suffix-balance rule with
-naive scans. None of it shares logic with the closed-form successor or
-the ranking in the main modules; that independence is the whole
-point, so keep it slow and obvious.
+Everything here recomputes from the defining rules with naive scans:
+
+- ``_suffix_balanced``, the rule restated literally, suffix by suffix;
+- ``brute_successor`` and ``brute_range``, which scan candidates with it
+  under ``SUCCESSOR_SCAN_BUDGET``;
+- ``kasa_zero_bounds``, a positional bound on the zeros of a member;
+- four per-digit walks, each the reference for a fast path in ``core``:
+  ``_heights`` for the height profile and the byte scanner,
+  ``_violating_suffix`` for membership and the suffix a refusal names,
+  ``_valley_depth`` for the valley depth, and ``_word_violation`` for the
+  step-word check and its messages.
+
+The only thing shared with ``core`` is the exception class. No logic is
+shared with the byte scanner, the closed-form successor or the ranking in
+the main modules; that independence is the whole point, so keep it slow
+and obvious.
 """
 
 from __future__ import annotations
 
-from .core import NotDyckNumberError, violating_suffix
+from .core import NotDyckNumberError
 
 # what brute_successor or brute_range may spend on scans, a scan of a k-bit
 # number counted as k * (k + 512): about 1.5 s on a 2-core shared host under
@@ -34,7 +46,7 @@ def _require_dyck(n: int) -> None:
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
     if not _suffix_balanced(n):
-        raise NotDyckNumberError(n, violating_suffix(n))
+        raise NotDyckNumberError(n, _violating_suffix(n))
 
 
 def _scan_cost(k: int) -> int:
@@ -102,3 +114,49 @@ def kasa_zero_bounds(d: int) -> bool:
         if not 2 * i - 1 <= pos <= ones + i - 1:
             return False
     return True
+
+
+def _heights(n: int, width: int | None = None) -> list[int]:
+    # ones minus zeros over n's digits, low digit first, one digit at a
+    # time; with a width of at least n's bit length, the digits past the
+    # bit length count as 0s
+    digits = bin(n)[:1:-1] if n else ""
+    if width is not None:
+        digits = digits.ljust(width, "0")
+    heights, level = [], 0
+    for digit in digits:
+        level += 1 if digit == "1" else -1
+        heights.append(level)
+    return heights
+
+
+def _violating_suffix(n: int) -> str | None:
+    # the digits from the first dip of n's walk down, left to right, or
+    # None when the walk never dips
+    for p, level in enumerate(_heights(n)):
+        if level < 0:
+            return bin(n)[-(p + 1) :]
+    return None
+
+
+def _valley_depth(d: int) -> int | None:
+    # the least height just below a 01 pair, read from the low end: the
+    # height after a 0 digit that the next digit up, a 1, climbs out of;
+    # None when no such pair exists (0 and the Mersenne numbers)
+    heights, digits = _heights(d), bin(d)[:1:-1] if d else ""
+    valleys = [heights[p - 1] for p in range(1, len(digits)) if digits[p - 1 : p + 1] == "01"]
+    return min(valleys, default=None)
+
+
+def _word_violation(word: str) -> str | None:
+    # read from the left: the first invalid step or dip, then the balance
+    level = 0
+    for i, step in enumerate(word):
+        if step not in ("U", "D"):
+            return f"invalid step {step!r} at position {i} (expected U or D)"
+        level += 1 if step == "U" else -1
+        if level < 0:
+            return f"path dips below ground at step {i + 1}"
+    if level != 0:
+        return f"unbalanced: {level} more up steps than down steps"
+    return None

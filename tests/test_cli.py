@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dycknum import bfile, cli, core, sequence
+from dycknum import bfile, cli, core, oracle, sequence
 from dycknum.cli import main
 
 
@@ -182,10 +182,7 @@ class TestConvert:
     def test_wide_heights_in_hex(self, capsys):
         # a 10**4-bit member: 5001 ones over pairs of a 0 and a 1 over a 1
         d = core.mersenne(5001) << 4999 | int("01" * 2499 + "1", 2)
-        heights, h = [], 0
-        for digit in bin(d)[:1:-1]:
-            h += 1 if digit == "1" else -1
-            heights.append(h)
+        heights = oracle._heights(d)
         assert min(heights) >= 0 and d.bit_length() == 10**4
         expected = " ".join(str(h) for h in reversed(heights)) + "\n"
         assert run(capsys, "convert", hex(d), "--to", "heights") == (0, expected, "")

@@ -69,38 +69,6 @@ def _dip_on_top(d):
     return 1 << (2 * d.bit_count() + 1) | d
 
 
-def _recount(d):
-    # entry p: ones minus zeros among bit positions 0..p, one digit at a time
-    heights, h = [], 0
-    for digit in bin(d)[:1:-1]:
-        h += 1 if digit == "1" else -1
-        heights.append(h)
-    return heights
-
-
-def _heights(n, width):
-    # the heights of the width-digit walk n, one digit at a time from the low
-    # end, where digits past n's bit length are 0s
-    heights, h = [], 0
-    for p in range(width):
-        h += 1 if n >> p & 1 else -1
-        heights.append(h)
-    return heights
-
-
-def _is_member(n):
-    return min([0, *_heights(n, n.bit_length())]) >= 0
-
-
-def _word_heights(word):
-    # the heights of a U/D word's path, read from the left
-    heights, h = [], 0
-    for step in word:
-        h += 1 if step == "U" else -1
-        heights.append(h)
-    return heights
-
-
 def _ground_walk(rng, steps):
     # the digits of a random walk of an even number of steps that never
     # dips and ends on the ground, first step lowest
@@ -138,13 +106,13 @@ class TestWideDips:
         # a walk on the ground through digit q - 1, a down step at q, and
         # the member's digits above, with at least a 1 above q
         n = (d >> q + 1 | 1) << q + 1 | _ground_walk(rng, q)
-        dip = next(p for p, h in enumerate(_recount(n)) if h < 0)
-        assert dip == q
-        assert core.violating_suffix(n) == bin(n)[-(dip + 1) :]
+        suffix = oracle._violating_suffix(n)
+        assert suffix == bin(n)[-(q + 1) :]
+        assert core.violating_suffix(n) == suffix
         for refuse in (core.successor, core.valley_depth):
             with pytest.raises(core.NotDyckNumberError) as exc_info:
                 refuse(n)
-            assert exc_info.value.suffix == bin(n)[-(dip + 1) :]
+            assert exc_info.value.suffix == suffix
         # the word whose number is n, or n with 1s set above it so that the
         # word can be balanced by leading U steps: read from its low end,
         # the number dips at q, so the word is refused, and for its first
@@ -152,23 +120,25 @@ class TestWideDips:
         t = 2 * n.bit_count() - n.bit_length()
         m = n | core.mersenne(max(0, -t)) << n.bit_length()
         word = "U" * (t + max(0, -t)) + format(m, "b").translate(str.maketrans("01", "UD"))
-        step = next(i for i, h in enumerate(_word_heights(word), start=1) if h < 0)
+        reason = oracle._word_violation(word)
+        assert reason.startswith("path dips below ground at step ")
         with pytest.raises(core.NotDyckWordError) as exc_info:
             core.from_dyck_word(word)
-        assert exc_info.value.reason == f"path dips below ground at step {step}"
+        assert exc_info.value.reason == reason
 
     def test_zero_padding_of_the_top_byte_is_no_dip(self):
         # a member ending at height 1 with 5 digits in its top byte: the
         # second of the three padding zeros above it would reach height -1
         n = 1 << self.WIDTH - 1 | _ground_walk(random.Random(0), self.WIDTH - 1)
         assert n.bit_length() == self.WIDTH and self.WIDTH % 8 == 5
-        assert _recount(n)[-1] == 1 and min(_recount(n)) >= 0
+        heights = oracle._heights(n)
+        assert heights[-1] == 1 and min(heights) >= 0
         assert core.violating_suffix(n) is None
         assert core.is_dyck_number(n)
 
 
 class TestScanner:
-    """core._scan, the one byte loop, against a walk one digit at a time."""
+    """core._scan, the one byte loop, against the oracle's walks one digit at a time."""
 
     def test_every_walk_below_2_to_14(self):
         # start levels 0..9 and widths bit_length .. bit_length + 9: the
@@ -176,7 +146,7 @@ class TestScanner:
         # padding steps up and must not show
         for n in range(1 << 14):
             top = n.bit_length() + 9
-            heights = _heights(n, top)
+            heights = oracle._heights(n, top)
             lows = list(accumulate(heights, min, initial=0))
             for level in range(10):
                 dip = next((p for p, h in enumerate(heights) if h < -level), top)
@@ -186,13 +156,13 @@ class TestScanner:
 
     def test_lowest_point(self):
         for n in range(1 << 14):
-            assert core._lowest(n) == min([0, *_heights(n, n.bit_length())]), n
+            assert core._lowest(n) == min([0, *oracle._heights(n)]), n
 
     def test_successor_against_brute_force_below_2_to_20(self):
         # every Dyck number below 2**12, then members of 13 to 20 bits,
         # with trailing 1-runs of every length they can have
         rng = random.Random(20)
-        members = [d for d in range(1 << 12) if _is_member(d)]
+        members = [d for d in range(1 << 12) if oracle._violating_suffix(d) is None]
         for width in range(13, 21):
             members += [_random_member(rng, width) for _ in range(60)]
             members += [core.mersenne(width), core.mersenne(width) ^ 1 << width - 2]
@@ -200,23 +170,21 @@ class TestScanner:
             assert core.successor(d) == oracle.brute_successor(d), d
 
     def test_valley_depth_against_a_per_digit_recount(self):
-        # depth: the least height just before a 0 digit is followed by a 1
+        # depth: the least height just before a 0 digit is followed by a 1,
+        # which the oracle reads one digit pair at a time
         rng = random.Random(14)
-        members = [d for d in range(1 << 14) if _is_member(d)]
+        members = [d for d in range(1 << 14) if oracle._violating_suffix(d) is None]
         members += [_random_member(rng, w) for w in (*range(60, 70), 255, 256, 257, 10**4)]
         for d in members:
-            heights, bits = _recount(d), bin(d)[:1:-1]
-            valleys = [heights[p - 1] for p in range(1, len(bits)) if bits[p - 1 : p + 1] == "01"]
-            assert core.valley_depth(d) == (min(valleys) if valleys else None), d
+            assert core.valley_depth(d) == oracle._valley_depth(d), d
 
     def test_refusals_name_the_first_dip(self):
         # successor and valley_depth refuse as the membership scan does:
         # the same type, message and suffix for every non-member below 2**12
         for n in range(1 << 12):
-            dip = next((p for p, h in enumerate(_heights(n, n.bit_length())) if h < 0), None)
-            if dip is None:
+            suffix = oracle._violating_suffix(n)
+            if suffix is None:
                 continue
-            suffix = bin(n)[-(dip + 1) :]
             message = (
                 f"{n} is not a Dyck number: suffix {suffix} of its binary "
                 f"expansion has more 0s than 1s"
@@ -242,18 +210,11 @@ class TestScanner:
         for length in range(11):
             for steps in range(1 << length):
                 word = format(steps, f"0{length}b").translate(str.maketrans("01", "UD"))
-                heights = _word_heights(word)
-                dip = next((i for i, h in enumerate(heights, start=1) if h < 0), None)
-                level = heights[-1] if word else 0
-                if dip is None and level == 0:
+                reason = oracle._word_violation(word)
+                if reason is None:
                     assert core.from_dyck_word(word) == int("0" + format(steps, "b"), 2)
                     assert core.is_dyck_word(word)
                     continue
-                reason = (
-                    f"path dips below ground at step {dip}"
-                    if dip is not None
-                    else f"unbalanced: {level} more up steps than down steps"
-                )
                 with pytest.raises(core.NotDyckWordError) as exc_info:
                     core.from_dyck_word(word)
                 assert exc_info.value.reason == reason, word
@@ -298,7 +259,7 @@ class TestHeightProfile:
     def test_matches_a_per_bit_recount(self, width):
         rng = random.Random(width)
         for d in (core.mersenne(width), *(_random_member(rng, width) for _ in range(3))):
-            assert core.height_profile(d) == _recount(d), width
+            assert core.height_profile(d) == oracle._heights(d), width
 
     @pytest.mark.parametrize(
         "n",
@@ -313,12 +274,10 @@ class TestHeightProfile:
         ids=["first-digit", "second-byte", "digit-9999", "top-digit"],
     )
     def test_wide_refusals_name_the_violating_suffix(self, n):
-        heights = _recount(n)
-        dip = next(p for p, h in enumerate(heights) if h < 0)
         with pytest.raises(core.NotDyckNumberError) as exc_info:
             core.height_profile(n)
         assert exc_info.value.suffix == core.violating_suffix(n)
-        assert exc_info.value.suffix == bin(n)[-(dip + 1) :]
+        assert exc_info.value.suffix == oracle._violating_suffix(n)
         assert exc_info.value.value == n
 
 
@@ -333,14 +292,8 @@ class TestValleyDepth:
         assert core.valley_depth(65535) is None
 
     def test_single_valley(self):
-        # 23 = 10111: one valley; depth recomputed from the height profile
-        profile = core.height_profile(23)
-        bits = bin(23)[2:][::-1]
-        brute = min(
-            profile[p - 1]
-            for p in range(1, len(bits))
-            if bits[p] == "1" and bits[p - 1] == "0"
-        )
+        # 23 = 10111: one valley; depth recomputed by the oracle's digit walk
+        brute = oracle._valley_depth(23)
         assert brute == 2
         assert core.valley_depth(23) == 2
 
@@ -383,14 +336,8 @@ class TestSuccessor:
 
     def test_55_by_scan(self):
         # next odd suffix-balanced number after 55 is 59, not 57
-        def ok(n):
-            bits = bin(n)[2:]
-            return all(
-                bits[p:].count("1") >= bits[p:].count("0") for p in range(len(bits))
-            )
-
-        assert not ok(57)
-        assert ok(59)
+        assert not oracle._suffix_balanced(57)
+        assert oracle._suffix_balanced(59)
         assert core.successor(55) == 59
 
     def test_reproduces_head(self):

@@ -5,6 +5,8 @@ oracles themselves are pinned to hand-checked values and cross-checked
 against the fast implementations over small domains.
 """
 
+import random
+
 import pytest
 
 from dycknum import core, oracle, sequence
@@ -122,3 +124,68 @@ class TestKasaZeroBounds:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="^expected a natural number, got -1$"):
             oracle.kasa_zero_bounds(-1)
+
+
+class TestPerDigitReferences:
+    """The oracle's per-digit walks, for every n below 2**12."""
+
+    def test_violating_suffix_is_the_shortest_unbalanced_suffix(self):
+        for n in range(1 << 12):
+            suffix = oracle._violating_suffix(n)
+            assert (suffix is None) == oracle._suffix_balanced(n), n
+            if suffix is not None:
+                assert suffix == bin(n)[-len(suffix) :], n
+                assert suffix.count("0") > suffix.count("1"), n
+                shorter = (suffix[-k:] for k in range(1, len(suffix)))
+                assert all(s.count("0") <= s.count("1") for s in shorter), n
+
+    def test_valley_depth_is_none_only_without_a_valley(self):
+        for n in range(1 << 12):
+            no_valley = n == core.mersenne(n.bit_length())
+            assert (oracle._valley_depth(n) is None) == no_valley, n
+
+    def test_heights_end_at_ones_minus_zeros(self):
+        for n in range(1 << 12):
+            assert [0, *oracle._heights(n)][-1] == 2 * n.bit_count() - n.bit_length(), n
+
+    def test_padding_digits_step_down(self):
+        for n in range(1 << 12):
+            width = n.bit_length()
+            heights = oracle._heights(n, width + 9)
+            assert heights[:width] == oracle._heights(n), n
+            steps = [b - a for a, b in zip([0, *heights][width:], heights[width:])]
+            assert steps == [-1] * 9, n
+
+
+class TestRefusalsWithoutCore:
+    """The oracle names its refusals without core's scanner."""
+
+    @pytest.fixture
+    def no_core_scan(self, monkeypatch):
+        # the refusals the parent named through core, taken before the patch
+        rng = random.Random(10**4)
+        wide = rng.getrandbits(10**4) | 1 << 10**4 - 1
+        while oracle._suffix_balanced(wide):
+            wide = rng.getrandbits(10**4) | 1 << 10**4 - 1
+        expected = {n: core.NotDyckNumberError(n, core.violating_suffix(n)) for n in (9, wide)}
+
+        def no_scan(*args):
+            raise AssertionError("the oracle must not read core's scanner")
+
+        monkeypatch.setattr(core, "_scan", no_scan)
+        monkeypatch.setattr(core, "violating_suffix", no_scan)
+        return expected
+
+    def test_members_are_answered(self, no_core_scan):
+        assert [oracle.brute_range(k) for k in range(1, 5)] == [[1], [3], [5, 7], [11, 13, 15]]
+        assert oracle.brute_successor(55) == 59
+        assert oracle.kasa_zero_bounds(2893215)
+
+    @pytest.mark.parametrize("refuse", [oracle.brute_successor, oracle.kasa_zero_bounds])
+    def test_non_members_are_refused_as_before(self, no_core_scan, refuse):
+        for n, error in no_core_scan.items():
+            with pytest.raises(core.NotDyckNumberError) as exc_info:
+                refuse(n)
+            assert type(exc_info.value) is core.NotDyckNumberError
+            assert exc_info.value.args == error.args
+            assert (exc_info.value.value, exc_info.value.suffix) == (n, error.suffix)

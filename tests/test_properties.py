@@ -148,16 +148,6 @@ def test_standard_code_is_bit_complement(d):
     assert core.to_standard_code(d) == int(word.translate(str.maketrans("UD", "10")) or "0", 2)
 
 
-def _naive_violating_suffix(n):
-    # shortest suffix with more 0s than 1s, trying every width in turn
-    bits = bin(n)[2:] if n else ""
-    for width in range(1, len(bits) + 1):
-        suffix = bits[-width:]
-        if suffix.count("0") > suffix.count("1"):
-            return suffix
-    return None
-
-
 @st.composite
 def near_dyck_numbers(draw):
     """A Dyck number of up to 40 bits with one digit flipped, so it may dip late."""
@@ -170,31 +160,12 @@ def near_dyck_numbers(draw):
 @example(1 << 33 | 0xFFFF)  # dips at its 33rd digit
 @example(2**40)
 def test_violating_suffix_is_the_shortest_unbalanced_suffix(n):
-    assert core.violating_suffix(n) == _naive_violating_suffix(n)
+    assert core.violating_suffix(n) == oracle._violating_suffix(n)
 
 
 # The scanner reads 8 digits per step, so dips and valleys next to a byte
 # boundary or in the zero-padded top byte get inputs of their own.
 BYTE_EDGES = [0, 2, 6, 8, 10, 14, 16, 18, 22, 24]
-
-
-def _heights(n):
-    # running 1s-minus-0s count over n's digits, low digit first
-    level, heights = 0, []
-    for bit in bin(n)[:1:-1] if n else "":
-        level += 1 if bit == "1" else -1
-        heights.append(level)
-    return heights
-
-
-def _naive_valley_depth(d):
-    heights = _heights(d)
-    depths = [
-        heights[p - 1]
-        for p in range(1, d.bit_length())
-        if d >> p & 1 and not d >> (p - 1) & 1
-    ]
-    return min(depths, default=None)
 
 
 def _naive_successor(d):
@@ -207,7 +178,7 @@ def _naive_successor(d):
         high = (d >> p | 1) << p
         for ones in range(p + 1):
             candidate = high | (1 << ones) - 1
-            if _naive_violating_suffix(candidate) is None:
+            if oracle._violating_suffix(candidate) is None:
                 return candidate
 
 
@@ -249,8 +220,8 @@ def planted_valleys(draw):
 @example(0b1_0101)  # ends at height 1; three padding zeros
 @example(0b1_0101_0101)  # bit length 9: seven padding zeros above height 1
 def test_violating_suffix_at_byte_edges(n):
-    assert core.violating_suffix(n) == _naive_violating_suffix(n)
-    assert core.is_dyck_number(n) == (_naive_violating_suffix(n) is None)
+    assert core.violating_suffix(n) == oracle._violating_suffix(n)
+    assert core.is_dyck_number(n) == (oracle._violating_suffix(n) is None)
 
 
 @given(st.integers(1, 40).filter(lambda length: length % 8))
@@ -259,7 +230,7 @@ def test_members_ending_low_in_a_partial_top_byte(length):
     d = int(("1" if length % 2 else "11") + "01" * ((length - 1) // 2), 2)
     assert d.bit_length() == length
     assert core.violating_suffix(d) is None
-    assert core.valley_depth(d) == _naive_valley_depth(d)
+    assert core.valley_depth(d) == oracle._valley_depth(d)
     assert core.successor(d) == _naive_successor(d)
 
 
@@ -270,22 +241,8 @@ def test_members_ending_low_in_a_partial_top_byte(length):
 @settings(deadline=None)
 def test_valley_and_successor_at_byte_edges(d):
     assert core.violating_suffix(d) is None
-    assert core.valley_depth(d) == _naive_valley_depth(d)
+    assert core.valley_depth(d) == oracle._valley_depth(d)
     assert core.successor(d) == _naive_successor(d)
-
-
-def _naive_word_violation(word):
-    # left to right: the first invalid step or dip wins, then the balance
-    level = 0
-    for i, step in enumerate(word):
-        if step not in ("U", "D"):
-            return f"invalid step {step!r} at position {i} (expected U or D)"
-        level += 1 if step == "U" else -1
-        if level < 0:
-            return f"path dips below ground at step {i + 1}"
-    if level != 0:
-        return f"unbalanced: {level} more up steps than down steps"
-    return None
 
 
 @given(st.text(alphabet="UDX", max_size=70))
@@ -302,7 +259,7 @@ def _naive_word_violation(word):
 @example("U\U0001f600D")  # one outside the Basic Multilingual Plane
 @example("U\ud800D")  # a lone surrogate, which UTF-8 cannot encode
 def test_word_check_matches_naive_scan(word):
-    reason = _naive_word_violation(word)
+    reason = oracle._word_violation(word)
     assert core.is_dyck_word(word) == (reason is None)
     if reason is None:
         assert core.to_dyck_word(core.from_dyck_word(word)) == word

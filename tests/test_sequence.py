@@ -14,11 +14,6 @@ HEAD = [0, 1, 3, 5, 7, 11, 13, 15, 19, 21, 23, 27, 29, 31, 39, 43, 45, 47, 51, 5
 RANGE_FIRSTS = [1, 3, 5, 11, 19, 39, 71, 143, 271, 543, 1055, 2111, 4159, 8319, 16511]
 
 
-def _naive_is_dyck(n):
-    bits = bin(n)[2:]
-    return all(bits[p:].count("1") >= bits[p:].count("0") for p in range(len(bits)))
-
-
 class TestCentralBinomial:
     def test_head(self):
         assert [sequence.central_binomial(m) for m in range(10)] == [
@@ -74,7 +69,7 @@ class TestRanges:
             brute = [
                 n
                 for n in range(1 << (k - 1), 1 << k)
-                if _naive_is_dyck(n)
+                if oracle._suffix_balanced(n)
             ]
             assert sequence.range_terms(k) == brute
 
@@ -159,7 +154,7 @@ class TestIndexOf:
             assert sequence.index_of(d) == i
 
     def test_ordinal_of_39_by_recount(self):
-        brute = 1 + sum(1 for n in range(1, 40, 2) if _naive_is_dyck(n))
+        brute = 1 + sum(1 for n in range(1, 40, 2) if oracle._suffix_balanced(n))
         assert brute == 15
         assert sequence.index_of(39) == 15
 
@@ -219,14 +214,6 @@ def _plain_walk(d):
         d = core.successor(d)
 
 
-def _naive_lowest(n):
-    level = lowest = 0
-    for bit in bin(n)[:1:-1]:
-        level += 1 if bit == "1" else -1
-        lowest = min(lowest, level)
-    return lowest
-
-
 @st.composite
 def high_parts(draw, floor=sequence._B, max_bits=60):
     """A walk whose lowest point is >= -floor, drawn digit by digit from the low end."""
@@ -263,7 +250,7 @@ class TestBlockWalk:
     def test_high_part_successor_against_a_search(self):
         # every Dyck number and every valid high part below 2**13: the Dyck
         # successor, and the block walk's step with its table row
-        lowest = [_naive_lowest(h) for h in range(1 << 14)]
+        lowest = [min([0, *oracle._heights(h)]) for h in range(1 << 14)]
         valid = [h for h in range(1, 1 << 14) if lowest[h] >= 0]
         for h, following in zip(valid, valid[1:]):
             if h >> 13:
@@ -352,7 +339,7 @@ class TestBlockWalk:
     @given(high_parts(), st.integers(0, 10**6))
     @settings(deadline=None, max_examples=60)
     def test_from_the_last_word_of_a_block(self, high, pick):
-        tail = sequence._tables()[1][-_naive_lowest(high)]
+        tail = sequence._tables()[1][-min([0, *oracle._heights(high)])]
         self._agrees(high << sequence._B | tail[-1 - pick % min(len(tail), 3)])
 
     @given(st.integers(1, 60), st.integers(0, 10**6))
@@ -366,14 +353,14 @@ class TestBlockWalk:
     def test_from_a_high_part_at_the_floor(self, above, pick):
         # B down steps, then a walk that starts up and stays at or above -B
         high = above << sequence._B
-        assert _naive_lowest(high) == -sequence._B
+        assert min([0, *oracle._heights(high)]) == -sequence._B
         tail = sequence._tables()[1][sequence._B]
         self._agrees(high << sequence._B | tail[pick % len(tail)])
 
     @given(st.integers(0, (1 << (sequence._B + 1)) - 1))
     @settings(deadline=None, max_examples=60)
     def test_from_below_the_blocks(self, n):
-        while not _naive_is_dyck(n):
+        while not oracle._suffix_balanced(n):
             n += 1
         self._agrees(n)
 
@@ -498,7 +485,7 @@ class TestMembershipFromTheCount:
         rng = random.Random(bits)
         while True:
             member = sequence.term_at(rng.getrandbits(bits) | 1 << (bits - 1))
-            if -_naive_lowest(member >> sequence._B) >= 2:
+            if -min([0, *oracle._heights(member >> sequence._B)]) >= 2:
                 break
         top = member.bit_length() - 1
         # the digits above the block are a member's, which need the block
@@ -512,9 +499,9 @@ class TestMembershipFromTheCount:
         # 13 zero digits right above a random block, under random digits
         deep.append((rng.getrandbits(bits - 25) | 1 << (bits - 26)) << 25 | rng.getrandbits(12))
         for d in shallow:
-            assert -_naive_lowest(d >> sequence._B) <= sequence._B
+            assert -min([0, *oracle._heights(d >> sequence._B)]) <= sequence._B
         for d in deep:
-            assert -_naive_lowest(d >> sequence._B) > sequence._B
+            assert -min([0, *oracle._heights(d >> sequence._B)]) > sequence._B
         for d in shallow + deep:
             assert not core.is_dyck_number(d)
             got = _outcome(sequence.index_of, d)
@@ -607,11 +594,11 @@ class TestHighPartTable:
         B = sequence._B
         tails = sequence._tables()[1]
         cases = [rng.randrange(1 << 16, 1 << 24) for _ in range(4000)]
-        cases = [n for n in cases if not _naive_is_dyck(n)]
+        cases = [n for n in cases if not oracle._suffix_balanced(n)]
         shallow = 0
         while shallow < 300:
             member = sequence.term_at(rng.randrange(_last_ordinal(16) + 1, _last_ordinal(24) + 1))
-            high, need = member >> B << B, -_naive_lowest(member >> B)
+            high, need = member >> B << B, -min([0, *oracle._heights(member >> B)])
             # a block whose first digit steps below 0
             cases.append(high | rng.getrandbits(B) & ~1)
             if need >= 2:
