@@ -200,6 +200,26 @@ if "conjecture holds for ranges 1..32" not in proc.stdout.splitlines():
     raise SystemExit("dyck verify-conjecture --max-range 32 did not print that it holds")
 """
 
+# 10^5 b-file lines from 50,000 before 10^6 and before 10^12, where the
+# index prefix that emit_bfile writes once per ten lines gains a digit;
+# each line against its own rendering, and the text parsed in bulk back
+EMIT_ACROSS_DIGIT_BOUNDARIES = """
+import random
+from dycknum import bfile
+rng = random.Random(10**5)
+for offset in (10**6 - 5 * 10**4, 10**12 - 5 * 10**4):
+    terms = tuple(rng.getrandbits(rng.randrange(1, 70)) for _ in range(10**5))
+    text = bfile.emit_bfile(terms, offset)
+    lines = text.splitlines(keepends=True)
+    if len(lines) != len(terms):
+        raise SystemExit(f"{len(lines)} lines from offset {offset}, not {len(terms)}")
+    for i, (line, term) in enumerate(zip(lines, terms), start=offset):
+        if line != f"{i} {term}\\n":
+            raise SystemExit(f"line of index {i} is {line!r}")
+    if bfile.parse_bfile(text) != bfile.BFile(offset, terms):
+        raise SystemExit(f"the b-file from offset {offset} does not parse back")
+"""
+
 
 @pytest.mark.parametrize(
     "program",
@@ -211,6 +231,7 @@ if "conjecture holds for ranges 1..32" not in proc.stdout.splitlines():
         WIDE_RANKING_ROUND_TRIPS,
         DIPS_PLANTED_IN_A_10_5_BIT_MEMBER,
         RANGE_SIZES_THROUGH_32_BY_THE_BLOCK_WALKS_ROWS,
+        EMIT_ACROSS_DIGIT_BOUNDARIES,
     ],
     ids=[
         "range-26-term-by-term",
@@ -220,6 +241,7 @@ if "conjecture holds for ranges 1..32" not in proc.stdout.splitlines():
         "wide-ranking-round-trips",
         "dips-planted-in-a-10^5-bit-member",
         "range-sizes-through-32-by-the-block-walks-rows",
+        "emit-across-digit-boundaries",
     ],
 )
 def test_long(program):

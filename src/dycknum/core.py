@@ -108,7 +108,10 @@ class NotDyckWordError(ValueError):
 # min-excess tables of range min-max trees (Navarro & Sadakane, ACM TALG
 # 2014).
 _NET = [2 * b.bit_count() - 8 for b in range(256)]
-_LOW = [min(accumulate(2 * (b >> i & 1) - 1 for i in range(8))) for b in range(256)]
+# a byte's lowest height is its low nibble's, or its high nibble's from
+# the height the low nibble ends at
+_LOW4 = [min(accumulate(2 * (b >> i & 1) - 1 for i in range(4))) for b in range(16)]
+_LOW = [min(_LOW4[b & 15], 2 * (b & 15).bit_count() - 4 + _LOW4[b >> 4]) for b in range(256)]
 # the least height from which a byte's steps stay on or above ground, so
 # byte b dips below ground from level exactly when level < _DEPTH[b]
 _DEPTH = [-low for low in _LOW]

@@ -108,6 +108,33 @@ class TestEmit:
         again = bfile.parse_bfile(bfile.emit_bfile([7, 11, 13], offset=4))
         assert (again.offset, again.values) == (4, (7, 11, 13))
 
+    # spans that start and end at each line of a decade of indices, where
+    # the index prefix gains a digit, and across index 0
+    @pytest.mark.parametrize(
+        "offset",
+        sorted({*range(-25, 0), 0, 1, 9, 10, 11, 99, 100, *(10**k - 1 for k in range(21))}),
+    )
+    def test_span_edges_are_the_f_string_rendering(self, offset):
+        rng = random.Random(offset)
+        for size in range(max(0, -offset) + 26):
+            terms = [rng.getrandbits(rng.randrange(1, 70)) for _ in range(size)]
+            assert bfile.emit_bfile(terms, offset) == _rendering(terms, offset)
+
+    @pytest.mark.skipif(not _LIMIT, reason="no limit on int <-> decimal text conversion")
+    @pytest.mark.parametrize(
+        "size, offset",
+        [
+            (1, 10**_LIMIT),
+            # the last index is past the limit, its decade prefix is not
+            (2, 10**_LIMIT - 1),
+        ],
+        ids=["first index past the limit", "last index past the limit"],
+    )
+    def test_index_past_the_digit_limit_raises(self, size, offset):
+        for render in (bfile.emit_bfile, _rendering):
+            with pytest.raises(ValueError):
+                render([0] * size, offset)
+
 
 class TestCompare:
     def _head_bfile(self, count, offset=1):
@@ -157,6 +184,11 @@ def _outcome(parse, text):
         return parse(text)
     except bfile.BFileParseError as exc:
         return type(exc), exc.line_number, str(exc)
+
+
+def _rendering(terms, offset):
+    # one f-string per line, the reference for emit_bfile
+    return "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=offset))
 
 
 def _line_loop(text):
@@ -290,7 +322,7 @@ class TestBulkPath:
         st.integers(-5, 10**20),
     )
     def test_emit_is_the_f_string_rendering(self, terms, offset):
-        expected = "".join(f"{i} {t}\n" for i, t in enumerate(terms, start=offset))
+        expected = _rendering(terms, offset)
         assert bfile.emit_bfile(terms, offset) == expected
         assert bfile.emit_bfile(iter(terms), offset) == expected
 
