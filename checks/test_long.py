@@ -200,14 +200,16 @@ if "conjecture holds for ranges 1..32" not in proc.stdout.splitlines():
     raise SystemExit("dyck verify-conjecture --max-range 32 did not print that it holds")
 """
 
-# 10^5 b-file lines from 50,000 before 10^6 and before 10^12, where the
-# index prefix that emit_bfile writes once per ten lines gains a digit;
-# each line against its own rendering, and the text parsed in bulk back
+# 10^5 b-file lines from index 0, past the lines below 10 that emit_bfile
+# writes one at a time and the century seams at 100, 1,000 and 10,000, and
+# from 50,000 before 10^6 and before 10^12, where the index prefix that it
+# writes once per hundred lines gains a digit; each line against its own
+# rendering, and the text parsed in bulk back
 EMIT_ACROSS_DIGIT_BOUNDARIES = """
 import random
 from dycknum import bfile
 rng = random.Random(10**5)
-for offset in (10**6 - 5 * 10**4, 10**12 - 5 * 10**4):
+for offset in (0, 10**6 - 5 * 10**4, 10**12 - 5 * 10**4):
     terms = tuple(rng.getrandbits(rng.randrange(1, 70)) for _ in range(10**5))
     text = bfile.emit_bfile(terms, offset)
     lines = text.splitlines(keepends=True)

@@ -6,8 +6,9 @@ line endings and ends with a newline; input accepts \\r\\n too. There is
 no network code here: reference files are supplied locally.
 
 emit_bfile defines the canonical form. It writes each index prefix once
-per ten lines, into one template for the whole span, and formats every
-value into that template in one operation. Text that it writes back byte
+per hundred lines, into one template for the whole span, and formats
+every value into that template in one operation; only the lines of
+indices below 10 are written one at a time. Text that it writes back byte
 for byte, after any leading comment lines, is parsed in bulk, a chunk at
 a time; any other text goes to a line loop, which gives the same result
 and names the line of any error. compare tests equal spans with one tuple
@@ -190,11 +191,8 @@ def _parse_lines(lines: Iterable[str]) -> BFile:
     return BFile(offset=offset, values=tuple(values))
 
 
-# the lines of one decade, joined by its index prefix
-_DECADE = (
-    "", "0 %d\n", "1 %d\n", "2 %d\n", "3 %d\n", "4 %d\n",
-    "5 %d\n", "6 %d\n", "7 %d\n", "8 %d\n", "9 %d\n",
-)
+# the lines of one century, joined by its index prefix
+_CENTURY = ("", *map("%02d %%d\n".__mod__, range(100)))
 
 
 def emit_bfile(terms: Iterable[int], offset: int = 1) -> str:
@@ -209,22 +207,23 @@ def emit_bfile(terms: Iterable[int], offset: int = 1) -> str:
     """
     values = tuple(terms)
     end = offset + len(values)
-    # indices below 0, which no A036991 b-file has, line by line
-    start = max(offset, min(end, 0))
+    # indices below 10, whose lines are shorter than the rest of century
+    # 0's, and those below 0, which no A036991 b-file has, line by line
+    start = max(offset, min(end, 10))
     head = "".join(map("%d %d\n".__mod__, zip(range(offset, start), values)))
     if start == end:
         return head
-    # Indices 10p to 10p + 9 share the prefix str(p), "" for p = 0: one
-    # template holds the lines of every decade in the span, cut at start
-    # and end, each line of a decade len(prefix) + 5 characters long. The
+    # Indices 100p to 100p + 99 share the prefix str(p), "" for p = 0: one
+    # template holds the lines of every century in the span, cut at start
+    # and end, each line of a century len(prefix) + 6 characters long. The
     # end prefixes come from the end indices, so that an index past the
     # digit limit raises ValueError even where its prefix is within it.
-    first, last = str(start)[:-1], str(end - 1)[:-1]
-    lo, hi = start // 10, (end - 1) // 10
+    first, last = str(start)[:-2], str(end - 1)[:-2]
+    lo, hi = start // 100, (end - 1) // 100
     prefixes = [first, *map(str, range(lo + 1, hi)), last] if lo < hi else [first]
-    template = "".join([prefix.join(_DECADE) for prefix in prefixes])
-    cut = len(template) - (9 - (end - 1) % 10) * (len(last) + 5)
-    return head + template[start % 10 * (len(first) + 5) : cut] % values[start - offset :]
+    template = "".join([prefix.join(_CENTURY) for prefix in prefixes])
+    cut = len(template) - (99 - (end - 1) % 100) * (len(last) + 6)
+    return head + template[start % 100 * (len(first) + 6) : cut] % values[start - offset :]
 
 
 class DiffReport(

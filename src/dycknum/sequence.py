@@ -29,8 +29,10 @@ order from a table; the high part 0 takes the 989 Dyck numbers below
 small terms and 2,510 low blocks, since each odd row of low blocks is
 the even row after it) are built on the first enumeration or ranking,
 not at import. The walk yields each high part's row of low blocks; the
-enumerations join them and range_stats adds up their lengths. The walk
-stops at a range's last term by value, independently of ballot counts.
+enumerations join each row to its high part in one C-level map, or_ over
+repeat(high << 12) and the row, and range_stats adds up the rows'
+lengths. The walk stops at a range's last term by value, independently
+of ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -42,8 +44,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import cache
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from math import comb
+from operator import or_
 
 from . import core
 
@@ -126,7 +129,7 @@ def _rows(d: int, last: int | None) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def _terms(rows: Iterator[tuple[int, tuple[int, ...]]]) -> Iterator[int]:
-    return chain.from_iterable(map((high << _B).__or__, row) for high, row in rows)
+    return chain.from_iterable(map(or_, repeat(high << _B), row) for high, row in rows)
 
 
 def _bounds(k: int) -> tuple[int, int]:

@@ -108,27 +108,44 @@ class TestEmit:
         again = bfile.parse_bfile(bfile.emit_bfile([7, 11, 13], offset=4))
         assert (again.offset, again.values) == (4, (7, 11, 13))
 
-    # spans that start and end at each line of a decade of indices, where
-    # the index prefix gains a digit, and across index 0
+    # spans of up to 210 lines, so that they start and end at each line of
+    # a century of indices and cross two century seams, from offsets around
+    # 10, where the lines written one at a time end, around 100 and 200,
+    # where the index prefix gains a digit, and across index 0
     @pytest.mark.parametrize(
         "offset",
-        sorted({*range(-25, 0), 0, 1, 9, 10, 11, 99, 100, *(10**k - 1 for k in range(21))}),
+        sorted(
+            {
+                *range(-25, 12),
+                *range(98, 103),
+                *range(199, 202),
+                *(10**k + d for k in range(3, 22) for d in (-100, -99, -1, 0, 1)),
+            }
+        ),
     )
     def test_span_edges_are_the_f_string_rendering(self, offset):
         rng = random.Random(offset)
-        for size in range(max(0, -offset) + 26):
-            terms = [rng.getrandbits(rng.randrange(1, 70)) for _ in range(size)]
-            assert bfile.emit_bfile(terms, offset) == _rendering(terms, offset)
+        terms = [rng.getrandbits(rng.randrange(1, 70)) for _ in range(max(0, -offset) + 211)]
+        lines = _rendering(terms, offset).splitlines(keepends=True)
+        for size in range(len(terms) + 1):
+            assert bfile.emit_bfile(terms[:size], offset) == "".join(lines[:size])
 
     @pytest.mark.skipif(not _LIMIT, reason="no limit on int <-> decimal text conversion")
     @pytest.mark.parametrize(
         "size, offset",
         [
             (1, 10**_LIMIT),
-            # the last index is past the limit, its decade prefix is not
+            # the last index is past the limit, its century prefix is not
             (2, 10**_LIMIT - 1),
+            # the last index is past the limit, the first century's prefix
+            # is within it
+            (150, 10**_LIMIT - 120),
         ],
-        ids=["first index past the limit", "last index past the limit"],
+        ids=[
+            "first index past the limit",
+            "last index past the limit",
+            "last index past the limit a century on",
+        ],
     )
     def test_index_past_the_digit_limit_raises(self, size, offset):
         for render in (bfile.emit_bfile, _rendering):

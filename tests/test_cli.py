@@ -477,13 +477,14 @@ class TestDecimalDigitLimit:
         from itertools import chain
 
         limit = sys.get_int_max_str_digits()
-        wide = core.mersenne(4 * limit)
+        # the least value past the limit
+        wide = 10**limit
         monkeypatch.setattr(sequence, "iter_from", lambda d: chain(range(4100), [wide]))
         code, out, err = run(capsys, "bfile", "--offset", "5", "--count", "9000")
         # the 4,100 lines before it are printed whole, and none of its line
         assert (code, out) == (1, bfile.emit_bfile(range(4100), offset=5))
         assert err == (
-            f"error: {4 * limit}-bit value has more decimal digits than Python's "
+            f"error: {wide.bit_length()}-bit value has more decimal digits than Python's "
             f"limit of {limit} for decimal conversion\n"
         )
 

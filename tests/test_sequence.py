@@ -495,7 +495,8 @@ class TestMembershipFromTheCount:
         shallow = [member - 1, high | 1, high | 0x555]
         # these dip more than 12 below the block: no row of blocks can
         # repair them, and the walk's need runs past the last row
-        deep = [1 << 40 | 1, 1 << top | 1, 1 << top | (1 << 40) | 1]
+        # (1 << top | 0xFFF ends its block at 12, the height of the last row)
+        deep = [1 << 40 | 1, 1 << top | 1, 1 << top | (1 << 40) | 1, 1 << top | 0xFFF]
         # 13 zero digits right above a random block, under random digits
         deep.append((rng.getrandbits(bits - 25) | 1 << (bits - 26)) << 25 | rng.getrandbits(12))
         for d in shallow:

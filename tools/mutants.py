@@ -1,0 +1,339 @@
+"""Mutation smoke check: the tests must catch each known mutant.
+
+Run it from anywhere with ``python tools/mutants.py``; it needs pytest and
+hypothesis, as the tests do. Each mutant is one exact text replacement in
+one file. For each, the script copies src/, tests/, checks/ and
+pyproject.toml to a temporary directory, applies the replacement there and
+runs the named test files with ``-x -q -p no:cacheprovider`` under a time
+limit. The tests must fail: a mutant whose tests pass survives. Before
+the mutants, the same test files must pass on the unchanged copy, so that
+a failure is the mutant's. The exit status is 1 when a mutant survives,
+when its old text does not occur exactly once (a refactor must update the
+list below) or when a run ends in an error other than failing tests, and
+0 when every mutant is killed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "checks", "pyproject.toml")
+# a loop that never ends fails its test at the 120 s limit of
+# tests/conftest.py or of a long check; this limit only stops a run that
+# hangs past those, which counts as an error
+LIMIT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+CORE = "src/dycknum/core.py"
+SEQUENCE = "src/dycknum/sequence.py"
+BFILE = "src/dycknum/bfile.py"
+CLI = "src/dycknum/cli.py"
+ORACLE = "src/dycknum/oracle.py"
+
+MUTANTS = (
+    # core: the byte scanner and its tables
+    Mutant(
+        "scan reads a depth only below height 7",
+        CORE,
+        "if up < 8 and up < _DEPTH[b]:",
+        "if up < 7 and up < _DEPTH[b]:",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "scan pads above the width with one 0",
+        CORE,
+        "(n | 255 << width)",
+        "(n | 127 << width)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "scan resets the height above the lowest point to 0",
+        CORE,
+        "low, up = level - _DEPTH[b], _DEPTH[b]",
+        "low, up = level - _DEPTH[b], 0",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "scan places a dip one byte late",
+        CORE,
+        "pos = 8 * (size - 1 - rest.__length_hint__())",
+        "pos = 8 * (size - rest.__length_hint__())",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "byte lows composed with the halves swapped",
+        CORE,
+        "_LOW4[b & 15], 2 * (b & 15).bit_count() - 4 + _LOW4[b >> 4]",
+        "_LOW4[b >> 4], 2 * (b >> 4).bit_count() - 4 + _LOW4[b & 15]",
+        ("tests/test_core.py",),
+    ),
+    # core: the functions on top of it
+    Mutant(
+        "successor's lowest point off by one",
+        CORE,
+        "min(-rep, low - 2 * rep + 2)",
+        "min(-rep, low - 2 * rep + 1)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "successor scans above the run from height 0",
+        CORE,
+        "low = _scan(d >> rep, d.bit_length() - rep, rep)",
+        "low = _scan(d >> rep, d.bit_length() - rep, 0)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "word balance tested by >=",
+        CORE,
+        "if 2 * ups.bit_count() == len(digits):",
+        "if 2 * ups.bit_count() >= len(digits):",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "word's mirror scan allows a dip of 1",
+        CORE,
+        "if _scan(d, d.bit_length()) >= 0:",
+        "if _scan(d, d.bit_length()) >= -1:",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "height profile steps swapped",
+        CORE,
+        'bytes.maketrans(b"01", b"\\xff\\x01")',
+        'bytes.maketrans(b"01", b"\\x01\\xff")',
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "trailing 1-run counted one too long",
+        CORE,
+        "return (n ^ n + 1).bit_length() - 1",
+        "return (n ^ n + 1).bit_length()",
+        ("tests/test_core.py",),
+    ),
+    # sequence: the block walk
+    # (a floor test of low > -_B would be equivalent: at low = -_B the jump
+    # is by 1 and the need is _B, as on the other branch)
+    Mutant(
+        "high part jump twice too far",
+        SEQUENCE,
+        "return high + (1 << -((low + _B) // 2)), _B",
+        "return high + (2 << -((low + _B) // 2)), _B",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "last row cut before the range's last term",
+        SEQUENCE,
+        "stop = bisect_right(row, last & mask)",
+        "stop = bisect_left(row, last & mask)",
+        ("tests/test_sequence.py",),
+    ),
+    # sequence: ranking
+    Mutant(
+        "the table of high parts read past 2**24",
+        SEQUENCE,
+        "elif not d >> 2 * _B:",
+        "elif not d >> 2 * _B + 1:",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "index_of reads a range past the table's end",
+        SEQUENCE,
+        "if t + 1 < len(starts):",
+        "if t + 1 <= len(starts):",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "term_at's stepped ranges start one range late",
+        SEQUENCE,
+        """for m, size in _ranges(2 * _B + _TABLED):
+            if rank < size:""",
+        """for m, size in _ranges(2 * _B + _TABLED + 1):
+            if rank < size:""",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "index_of's membership read takes any place in the row",
+        SEQUENCE,
+        "if row[at : at + 1] == (w,):",
+        "if at < len(row):",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "index_of reads a row for a need past 12",
+        SEQUENCE,
+        "row = tails[need] if need <= _B else ()",
+        "row = tails[min(need, _B)]",
+        ("tests/test_sequence.py",),
+    ),
+    # emit_bfile: the century template and the lines written one at a time
+    Mutant(
+        "century head cut one line short",
+        BFILE,
+        "template[start % 100 * (len(first) + 6) : cut]",
+        "template[(start % 100 - 1) * (len(first) + 6) : cut]",
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "century tail cut one line long",
+        BFILE,
+        "(99 - (end - 1) % 100) * (len(last) + 6)",
+        "(100 - (end - 1) % 100) * (len(last) + 6)",
+        ("tests/test_bfile.py",),
+    ),
+    # any threshold from 10 to 100 writes the same text, since century 0's
+    # lines of indices 10 to 99 all take the prefix ""; below 10 it differs
+    Mutant(
+        "lines written one at a time end at 9",
+        BFILE,
+        "start = max(offset, min(end, 10))",
+        "start = max(offset, min(end, 9))",
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "end prefixes from [:-1]",
+        BFILE,
+        "first, last = str(start)[:-2], str(end - 1)[:-2]",
+        "first, last = str(start)[:-1], str(end - 1)[:-1]",
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "last prefix divided, not cut from the last index",
+        BFILE,
+        "str(end - 1)[:-2]",
+        "str((end - 1) // 100)",
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "century lines space-padded",
+        BFILE,
+        '_CENTURY = ("", *map("%02d %%d\\n".__mod__, range(100)))',
+        '_CENTURY = ("", *map("%2d %%d\\n".__mod__, range(100)))',
+        ("tests/test_bfile.py",),
+    ),
+    # parsing, comparing and the CLI's writer
+    Mutant(
+        "bulk parse takes a negative value",
+        BFILE,
+        'if "-" in part or emit_bfile(',
+        "if emit_bfile(",
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "compare swaps expected and actual",
+        BFILE,
+        "(lo + i, expected[i], actual[i])",
+        "(lo + i, actual[i], expected[i])",
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "the writer's digit-limit cut one digit late",
+        CLI,
+        "bound = 10**limit if limit",
+        "bound = 10 ** (limit + 1) if limit",
+        ("tests/test_cli.py",),
+    ),
+    # the block walk's combine of a high part with its row of low blocks
+    Mutant(
+        "high part not shifted",
+        SEQUENCE,
+        "repeat(high << _B)",
+        "repeat(high)",
+        ("tests/test_sequence.py",),
+    ),
+    # oracle: the slow references themselves
+    Mutant(
+        "suffix rule refuses a balanced suffix",
+        ORACLE,
+        'if suffix.count("0") > suffix.count("1"):',
+        'if suffix.count("0") >= suffix.count("1"):',
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "successor's candidates not charged",
+        ORACLE,
+        "spent := spent + _scan_cost(candidate.bit_length())",
+        "spent := spent + 1",
+        ("tests/test_oracle.py",),
+    ),
+)
+
+
+def _copy(into: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(source, into / name)
+
+
+def _run(tree: Path, tests: tuple[str, ...]) -> tuple[int | None, str]:
+    # pytest's exit status, None past the time limit, and its output
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(
+            argv, cwd=tree, env=env, capture_output=True, text=True, timeout=LIMIT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = Path(tmp, "clean")
+        _copy(clean)
+        for tests in dict.fromkeys(m.tests for m in MUTANTS):
+            status, output = _run(clean, tests)
+            if status != 0:
+                print(output, end="")
+                print(f"ERROR    {' '.join(tests)} do not pass unchanged (exit {status})")
+                return 1
+        for i, mutant in enumerate(MUTANTS):
+            text = (ROOT / mutant.path).read_text()
+            found = text.count(mutant.old)
+            if found != 1:
+                print(f"MISSING  {mutant.name}: its old text occurs {found} times in {mutant.path}")
+                bad += 1
+                continue
+            tree = Path(tmp, f"mutant-{i}")
+            _copy(tree)
+            (tree / mutant.path).write_text(text.replace(mutant.old, mutant.new))
+            began = time.perf_counter()
+            status, output = _run(tree, mutant.tests)
+            took = f"{time.perf_counter() - began:.1f} s"
+            if status == 1:
+                print(f"killed   {mutant.name} ({took})")
+            elif status == 0:
+                print(f"SURVIVED {mutant.name} ({took}): {' '.join(mutant.tests)} pass")
+                bad += 1
+            else:
+                print(output, end="")
+                ended = f"exited {status}" if status is not None else f"ran past {LIMIT_S} s"
+                print(f"ERROR    {mutant.name}: pytest {ended}")
+                bad += 1
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
