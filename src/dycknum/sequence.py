@@ -190,14 +190,6 @@ def verify_conjecture(max_k: int) -> list[RangeStats]:
     return [range_stats(k) for k in range(1, max_k + 1)]
 
 
-def _completions(r: int, need: int) -> int:
-    # nonnegative walks of r steps that end at height >= need; the ballot
-    # numbers C(r,(r+h)/2) - C(r,(r+h)/2+1) summed over h >= need
-    # telescope to one binomial, which is 0 once need > r. term_at and
-    # index_of step these counts instead; the tests hold them to this
-    return comb(r, (r + need + 1) // 2)
-
-
 def _ranges(m: int) -> Iterator[tuple[int, int]]:
     # (m, C(m, m // 2)) from the given m on: the ranges whose terms have m
     # digits below the leading 1, with their sizes, each stepped from the
@@ -269,9 +261,9 @@ def term_at(i: int) -> int:
     need = 0
     # c = C(r, j) on entry to the digit with r - 1 digits below it, at
     # first the range size C(m, (m + 1) // 2). The terms that carry a 0 in
-    # that digit number _completions(r - 1, need + 1) = C(r - 1, j') with
-    # j' = (r + need + 1) // 2, which is j or j - 1: C(r, j)(r - j)/r or
-    # C(r, j)j/r
+    # that digit are the nonnegative walks of r - 1 steps that end at height
+    # need + 1 or more, C(r - 1, j') with j' = (r + need + 1) // 2, which is
+    # j or j - 1: C(r, j)(r - j)/r or C(r, j)j/r
     j, c = (m + 1) // 2, size
     for r in range(m, _B, -1):
         if (r + need + 1) // 2 == j:

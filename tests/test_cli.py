@@ -303,6 +303,35 @@ class TestBFileCommand:
         assert code == 1
         assert "index gap" in err
 
+    def test_check_refuses_a_malformed_line_after_a_mismatch(self, capsys, tmp_path):
+        # the whole file is parsed before any value is compared
+        path = tmp_path / "b.txt"
+        path.write_text("1 0\n2 1\n3 3\n4 5\n5 9\n6 11\n9 13\n8 15\n")
+        code, out, err = run(capsys, "bfile", "--check", str(path))
+        assert (code, out, err) == (1, "", "error: line 7: index gap: expected 7, got 9\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 0\r\n2 1\r\n3 3\r\n4 5\r\n5 7\r\n6 11\r\n", "1 0\n2 1\n3 3\n4 5\n5 7\n6 11\n# end\n"],
+        ids=["crlf", "comment-after-the-data"],
+    )
+    def test_check_match_of_text_that_emit_does_not_write(self, capsys, tmp_path, text):
+        path = tmp_path / "b.txt"
+        path.write_bytes(text.encode())
+        assert run(capsys, "bfile", "--check", str(path)) == (0, "match: 6 terms agree\n", "")
+
+    def test_check_mismatch_past_the_first_parse_chunk(self, capsys, tmp_path):
+        from itertools import islice
+
+        terms = list(islice(sequence.iter_from(), 9000))
+        terms[8000] += 2
+        text = bfile.emit_bfile(terms)
+        assert len(text) > bfile._CHUNK
+        path = tmp_path / "b.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "bfile", "--check", str(path))
+        assert (code, out) == (1, "mismatch at index 8001: expected 39605, got 39603\n")
+
     def test_check_refuses_file_without_data_lines(self, capsys, tmp_path):
         path = tmp_path / "comments.txt"
         path.write_text("# A036991\n\n# no terms\n")

@@ -2,6 +2,7 @@
 
 import random
 from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -371,18 +372,26 @@ class TestBlockWalk:
         self._agrees(sequence.term_at(rng.randrange(lo, 2 * lo)), count=2000)
 
 
+def _completions(r, need):
+    # nonnegative walks of r steps that end at height >= need; the ballot
+    # numbers C(r,(r+h)/2) - C(r,(r+h)/2+1) summed over h >= need
+    # telescope to one binomial, which is 0 once need > r. term_at and
+    # index_of step these counts instead
+    return comb(r, (r + need + 1) // 2)
+
+
 def _per_digit_term_at(i):
     # the ranking by definition: one _completions count per range skipped
     # and per digit chosen, with no table and no stepped count
     if i == 1:
         return 0
     rank, k = i - 2, 1
-    while rank >= (size := sequence._completions(k - 1, 0)):
+    while rank >= (size := _completions(k - 1, 0)):
         rank -= size
         k += 1
     d, need = 1, 0
     for r in range(k - 2, -1, -1):
-        with_zero = sequence._completions(r, need + 1)
+        with_zero = _completions(r, need + 1)
         if rank < with_zero:
             d, need = d << 1, need + 1
         else:
@@ -395,11 +404,11 @@ def _per_digit_index_of(d):
     if d == 0:
         return 1
     k = d.bit_length()
-    ordinal = 2 + sum(sequence._completions(r, 0) for r in range(k - 1))
+    ordinal = 2 + sum(_completions(r, 0) for r in range(k - 1))
     need = 0
     for r, bit in zip(range(k - 2, -1, -1), bin(d)[3:]):
         if bit == "1":
-            ordinal += sequence._completions(r, need + 1)
+            ordinal += _completions(r, need + 1)
             need = max(0, need - 1)
         else:
             need += 1

@@ -4,13 +4,13 @@ Run it from anywhere with ``python tools/mutants.py``; it needs pytest and
 hypothesis, as the tests do. Each mutant is one exact text replacement in
 one file. For each, the script copies src/, tests/, checks/ and
 pyproject.toml to a temporary directory, applies the replacement there and
-runs the named test files with ``-x -q -p no:cacheprovider`` under a time
-limit. The tests must fail: a mutant whose tests pass survives. Before
-the mutants, the same test files must pass on the unchanged copy, so that
-a failure is the mutant's. The exit status is 1 when a mutant survives,
-when its old text does not occur exactly once (a refactor must update the
-list below) or when a run ends in an error other than failing tests, and
-0 when every mutant is killed.
+runs the named tests, files or pytest node ids, with
+``-x -q -p no:cacheprovider`` under a time limit. The tests must fail: a
+mutant whose tests pass survives. Before the mutants, the same tests
+must pass on the unchanged copy, so that a failure is the mutant's. The
+exit status is 1 when a mutant survives, when its old text does not occur
+exactly once (a refactor must update the list below) or when a run ends
+in an error other than failing tests, and 0 when every mutant is killed.
 """
 
 from __future__ import annotations
@@ -143,6 +143,20 @@ MUTANTS = (
         "stop = bisect_left(row, last & mask)",
         ("tests/test_sequence.py",),
     ),
+    Mutant(
+        "rows of low blocks not merged into the row above",
+        SEQUENCE,
+        "row = tuple(sorted(ends[need] + list(row)))",
+        "row = tuple(ends[need])",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "range_stats counts rows, not their low blocks",
+        SEQUENCE,
+        "size = sum(len(row) for _, row in _rows(first, last))",
+        "size = sum(1 for _, row in _rows(first, last))",
+        ("tests/test_sequence.py",),
+    ),
     # sequence: ranking
     Mutant(
         "the table of high parts read past 2**24",
@@ -241,12 +255,36 @@ MUTANTS = (
         "(lo + i, actual[i], expected[i])",
         ("tests/test_bfile.py",),
     ),
+    # (< never holds, since splitlines never finds fewer lines than there
+    # are newlines, so this removes the check)
+    Mutant(
+        "bulk parse ignores line boundaries that only splitlines knows",
+        BFILE,
+        'if len(text[:pos].splitlines()) != text.count("\\n", 0, pos):',
+        'if len(text[:pos].splitlines()) < text.count("\\n", 0, pos):',
+        ("tests/test_bfile.py",),
+    ),
+    Mutant(
+        "bulk parse cuts a chunk before its last newline",
+        BFILE,
+        'end = text.rfind("\\n", pos, pos + _CHUNK) + 1 or',
+        'end = text.rfind("\\n", pos, pos + _CHUNK) or',
+        ("tests/test_bfile.py",),
+    ),
     Mutant(
         "the writer's digit-limit cut one digit late",
         CLI,
         "bound = 10**limit if limit",
         "bound = 10 ** (limit + 1) if limit",
         ("tests/test_cli.py",),
+    ),
+    # the output is the same; only the memory of a long stream grows
+    Mutant(
+        "the writer takes a stream whole",
+        CLI,
+        "_CHUNK = 4096",
+        "_CHUNK = 1 << 30",
+        ("checks/test_long.py::test_long[range-24-list-in-bounded-memory]",),
     ),
     # the block walk's combine of a high part with its row of low blocks
     Mutant(
@@ -269,6 +307,20 @@ MUTANTS = (
         ORACLE,
         "spent := spent + _scan_cost(candidate.bit_length())",
         "spent := spent + 1",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle refuses by core's membership test",
+        ORACLE,
+        "if not _suffix_balanced(n):",
+        'if not __import__("dycknum.core").core.is_dyck_number(n):',
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle names a refusal's suffix by core's scan",
+        ORACLE,
+        "raise NotDyckNumberError(n, _violating_suffix(n))",
+        'raise NotDyckNumberError(n, __import__("dycknum.core").core.violating_suffix(n))',
         ("tests/test_oracle.py",),
     ),
 )
