@@ -78,12 +78,14 @@ if i != 5490812:
 
 # seeded ordinals wider than the tier-1 round trips: at 24-27 bits, past
 # the terms below 2**24 into the table's tail of range first ranks, and at
-# 60-70 bits across the end of that tail (64 bits); index_of must
-# refuse seeded non-members, since it reads membership from its own count.
-# Nothing is converted to decimal, so no digit limit applies
+# 60-70 bits across the end of that tail (64 bits); up to 1,000 bits also
+# against dycknum.oracle's per-digit counts, which wider ordinals make
+# slow; index_of must refuse seeded non-members, since it reads membership
+# from its own count. Nothing is converted to decimal, so no digit limit
+# applies
 WIDE_RANKING_ROUND_TRIPS = """
 import random
-from dycknum import core, sequence
+from dycknum import core, oracle, sequence
 rng = random.Random(2024)
 for bits in [*range(24, 28), *range(60, 71), 1000, 4000, 10**4]:
     for _ in range(3):
@@ -93,6 +95,8 @@ for bits in [*range(24, 28), *range(60, 71), 1000, 4000, 10**4]:
             raise SystemExit(f"index_of(term_at(i)) != i at {bits} bits")
         if sequence.term_at(i + 1) != core.successor(d):
             raise SystemExit(f"term_at(i + 1) != successor at {bits} bits")
+        if bits <= 1000 and (oracle._term_at(i), oracle._index_of(d)) != (d, i):
+            raise SystemExit(f"ranking differs from the oracle's at {bits} bits")
     if bits < 1000:
         continue
     # a block that dips, under a member's upper digits, and 24
@@ -109,9 +113,9 @@ for bits in [*range(24, 28), *range(60, 71), 1000, 4000, 10**4]:
 # has not read; tier-1 plants dips up to 10^4 + 5 bits, this at every
 # offset of the first, a middle and the last byte of a 10^5-bit member,
 # refused by the membership scan and by the one pass of the successor and
-# the valley depth; each dip and the member's valley depth are checked
-# against dycknum.oracle, which reads one digit at a time, and its
-# successor against a colex search (the benchmark checks them at 10^4 bits)
+# the valley depth; each dip and the member's valley depth and successor
+# are checked against dycknum.oracle, which reads one digit at a time (the
+# benchmark checks them at 10^4 bits)
 DIPS_PLANTED_IN_A_10_5_BIT_MEMBER = """
 import random
 from dycknum import core, oracle
@@ -134,28 +138,6 @@ def steps(width, ground):
         h += 1 if bit else -1
     return d
 
-def successor(d):
-    # colex search: a larger number first differs from d at a 0 digit p (or
-    # the new top digit p = length), where it has a 1; the digits below p
-    # take the fewest 1s, packed at the bottom, that keep every suffix
-    # balanced, and the lowest feasible p wins
-    bits = bin(d)[:1:-1]
-    length = len(bits)
-    # lowest[j]: the least partial sum of the steps j, j + 1, ..., from j
-    lowest, run = [0] * (length + 1), None
-    for j in range(length - 1, -1, -1):
-        step = 1 if bits[j] == "1" else -1
-        run = step if run is None else step + min(0, run)
-        lowest[j] = run
-    for p in range(length):
-        if bits[p] == "1":
-            continue
-        need = max(0, -1 - min(0, lowest[p + 1] if p + 1 < length else 0))
-        need += (need - p) % 2
-        if need <= p:
-            return d >> p + 1 << p + 1 | 1 << p | (1 << (p + need) // 2) - 1
-    return 1 << length | (1 << (length + 1) // 2) - 1
-
 member = steps(WIDTH, ground=False)
 if member.bit_length() != WIDTH or oracle._violating_suffix(member) is not None:
     raise SystemExit("the 10^5-bit walk is not a 10^5-bit member")
@@ -163,8 +145,8 @@ if core.violating_suffix(member) is not None:
     raise SystemExit("violating_suffix refused a 10^5-bit member")
 if core.valley_depth(member) != oracle._valley_depth(member):
     raise SystemExit("valley_depth of the 10^5-bit member differs from the oracle's")
-if core.successor(member) != successor(member):
-    raise SystemExit("successor of the 10^5-bit member differs from a colex search")
+if core.successor(member) != oracle._successor(member):
+    raise SystemExit("successor of the 10^5-bit member differs from the oracle's")
 # a path first dips after an odd number of steps, at an even digit, so the
 # dip for an odd offset lands on the next digit
 for byte in (0, WIDTH // 16, WIDTH // 8 - 1):

@@ -18,8 +18,8 @@ from itertools import count, islice
 from . import __version__, core
 
 _CHUNK = 4096
-# the last range that range (stats) and verify-conjecture count: range 32
-# took 0.4 s on a 2-core host, and each range after it takes about twice as long
+# the last range that range (stats) and verify-conjecture count; each range
+# costs about twice the one before
 MAX_COUNTED_RANGE = 32
 
 
@@ -181,19 +181,12 @@ def _cmd_bfile(args: argparse.Namespace) -> int:
             reference = bfile.parse_bfile(f.read())
         if not reference.values:
             # a check that compared nothing must not pass
-            print(
-                f"error: {args.check} has no data lines to check against",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError(f"{args.check} has no data lines to check against")
         if reference.offset < 1:
             # name the file's first index, not the ordinal term_at would refuse
-            print(
-                f"error: {args.check} starts at index {reference.offset}; "
-                f"A036991's indices start at 1",
-                file=sys.stderr,
+            raise ValueError(
+                f"{args.check} starts at index {reference.offset}; A036991's indices start at 1"
             )
-            return 1
         terms = sequence.iter_from(sequence.term_at(reference.offset))
         values = tuple(islice(terms, len(reference)))
         report = bfile.compare(bfile.BFile(reference.offset, values), reference)

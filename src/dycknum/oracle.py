@@ -10,7 +10,11 @@ Everything here recomputes from the defining rules with naive scans:
   ``_heights`` for the height profile and the byte scanner,
   ``_violating_suffix`` for membership and the suffix a refusal names,
   ``_valley_depth`` for the valley depth, and ``_word_violation`` for the
-  step-word check and its messages.
+  step-word check and its messages;
+- ``_successor``, the reference for ``core.successor`` past the budget: a
+  completion search with ``_violating_suffix`` and no budget;
+- ``_term_at`` and ``_index_of``, the references for the ranking in
+  ``sequence``: one binomial count per range skipped and per digit.
 
 The only thing shared with ``core`` is the exception class. No logic is
 shared with the byte scanner, the closed-form successor or the ranking in
@@ -20,12 +24,14 @@ and obvious.
 
 from __future__ import annotations
 
+from math import comb
+
 from .core import NotDyckNumberError
 
 # what brute_successor or brute_range may spend on scans, a scan of a k-bit
-# number counted as k * (k + 512): about 1.5 s on a 2-core shared host under
-# Python 3.11; a Dyck number below 2**24 is followed by at most 2**11
-# candidates, costing ~2**25, and range 19 costs ~2**30.3
+# number counted as k * (k + 512); a Dyck number below 2**24 is followed by
+# at most 2**11 candidates, costing ~2**25, range 19 costs ~2**30.3, and
+# each range costs about twice the one before
 SUCCESSOR_SCAN_BUDGET = 1 << 31
 
 
@@ -43,10 +49,12 @@ def _suffix_balanced(n: int) -> bool:
 
 
 def _require_dyck(n: int) -> None:
+    # by the digit walk, in linear time, so that a wide number is refused too
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
-    if not _suffix_balanced(n):
-        raise NotDyckNumberError(n, _violating_suffix(n))
+    suffix = _violating_suffix(n)
+    if suffix is not None:
+        raise NotDyckNumberError(n, suffix)
 
 
 def _scan_cost(k: int) -> int:
@@ -160,3 +168,67 @@ def _word_violation(word: str) -> str | None:
     if level != 0:
         return f"unbalanced: {level} more up steps than down steps"
     return None
+
+
+def _successor(d: int) -> int:
+    # the next member first exceeds d at a 0 digit p (a new top digit at
+    # worst): keep d above p, set p, and take the fewest 1s below p, packed
+    # at the bottom, that make a member; the lowest such p wins. That is
+    # the lowest 0 digit, after up to p + 1 walks of d's width
+    _require_dyck(d)
+    for p in range(d.bit_length() + 1):
+        if d >> p & 1:
+            continue
+        high = (d >> p | 1) << p
+        for ones in range(p + 1):
+            candidate = high | (1 << ones) - 1
+            if _violating_suffix(candidate) is None:
+                return candidate
+
+
+def _completions(r: int, need: int) -> int:
+    # nonnegative walks of r steps that end at height >= need; the ballot
+    # numbers C(r,(r+h)/2) - C(r,(r+h)/2+1) summed over h >= need
+    # telescope to one binomial, which is 0 once need > r
+    return comb(r, (r + need + 1) // 2)
+
+
+def _term_at(i: int) -> int:
+    # the ranking by definition: one _completions count per range skipped
+    # and per digit chosen below the leading 1, top down, where a 0 is
+    # kept while the rank left is below the members that carry it
+    if i < 1:
+        raise ValueError(f"ordinal must be >= 1, got {i}")
+    if i == 1:
+        return 0
+    rank, k = i - 2, 1
+    while rank >= (size := _completions(k - 1, 0)):
+        rank -= size
+        k += 1
+    d, need = 1, 0
+    for r in range(k - 2, -1, -1):
+        with_zero = _completions(r, need + 1)
+        if rank < with_zero:
+            d, need = d << 1, need + 1
+        else:
+            rank -= with_zero
+            d, need = d << 1 | 1, max(0, need - 1)
+    return d
+
+
+def _index_of(d: int) -> int:
+    # the inverse count: the members below d's range, then at each 1-digit
+    # below the leading 1 the members that carry a 0 there instead
+    _require_dyck(d)
+    if d == 0:
+        return 1
+    k = d.bit_length()
+    ordinal = 2 + sum(_completions(r, 0) for r in range(k - 1))
+    need = 0
+    for r, bit in zip(range(k - 2, -1, -1), bin(d)[3:]):
+        if bit == "1":
+            ordinal += _completions(r, need + 1)
+            need = max(0, need - 1)
+        else:
+            need += 1
+    return ordinal

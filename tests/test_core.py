@@ -240,14 +240,8 @@ class TestHeightProfile:
             core.height_profile(9)
 
     def test_matches_direct_count(self):
-        # independent recount: entry p is ones minus zeros over bits 0..p
         for d in HEAD[1:]:
-            bits = bin(d)[2:][::-1]
-            expected = [
-                bits[: p + 1].count("1") - bits[: p + 1].count("0")
-                for p in range(len(bits))
-            ]
-            assert core.height_profile(d) == expected
+            assert core.height_profile(d) == oracle._heights(d)
 
     def test_mersenne_profile_climbs_past_a_signed_byte(self):
         # the steps are signed bytes, but the running sums must not wrap at 127
@@ -476,21 +470,13 @@ class TestStandardCode:
 
 
 class TestByteTables:
-    """The path scanner's per-byte tables against a per-bit recount."""
-
-    @staticmethod
-    def recount(b):
-        # low bit first, 1 up and 0 down, heights from the byte's start
-        level, lowest = 0, None
-        for j in range(8):
-            level += 1 if b >> j & 1 else -1
-            lowest = level if lowest is None else min(lowest, level)
-        return level, lowest
+    """The path scanner's per-byte tables against the oracle's per-digit walk."""
 
     def test_every_entry(self):
         assert len(core._NET) == len(core._LOW) == 256
         for b in range(256):
-            net, lowest = self.recount(b)
+            heights = oracle._heights(b, 8)
+            net, lowest = heights[-1], min(heights)
             assert core._NET[b] == net, b
             assert core._LOW[b] == lowest, b
             assert core._DEPTH[b] == -lowest, b

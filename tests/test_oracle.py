@@ -6,6 +6,7 @@ against the fast implementations over small domains.
 """
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -98,6 +99,30 @@ class TestBruteRange:
             assert sequence.range_terms(k) == oracle.brute_range(k)
 
 
+class TestSuccessorAndRanking:
+    """The references without a budget, against the scans below 2**14."""
+
+    def test_successor_of_every_member(self):
+        d = 0
+        while d < 1 << 14:
+            after = oracle.brute_successor(d)
+            assert oracle._successor(d) == after, d
+            d = after
+
+    def test_ranking_at_every_ordinal(self):
+        terms = [0, *chain.from_iterable(map(oracle.brute_range, range(1, 15)))]
+        for i, d in enumerate(terms, start=1):
+            assert oracle._term_at(i) == d, i
+            assert oracle._index_of(d) == i, d
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="^ordinal must be >= 1, got 0$"):
+            oracle._term_at(0)
+        for refuse in (oracle._successor, oracle._index_of):
+            with pytest.raises(ValueError, match="^expected a natural number, got -1$"):
+                refuse(-1)
+
+
 class TestMembershipAgreement:
     def test_exhaustive_below_4096(self):
         for n in range(4096):
@@ -158,10 +183,10 @@ class TestPerDigitReferences:
 
 
 class TestRefusalsWithoutCore:
-    """The oracle names its refusals without core's scanner."""
+    """The oracle answers and names its refusals without core's or sequence's fast paths."""
 
     @pytest.fixture
-    def no_core_scan(self, monkeypatch):
+    def no_fast_paths(self, monkeypatch):
         # the refusals the parent named through core, taken before the patch
         rng = random.Random(10**4)
         wide = rng.getrandbits(10**4) | 1 << 10**4 - 1
@@ -169,21 +194,30 @@ class TestRefusalsWithoutCore:
             wide = rng.getrandbits(10**4) | 1 << 10**4 - 1
         expected = {n: core.NotDyckNumberError(n, core.violating_suffix(n)) for n in (9, wide)}
 
-        def no_scan(*args):
-            raise AssertionError("the oracle must not read core's scanner")
+        def broken(*args):
+            raise AssertionError("the oracle must not read core's or sequence's fast paths")
 
-        monkeypatch.setattr(core, "_scan", no_scan)
-        monkeypatch.setattr(core, "violating_suffix", no_scan)
+        for name in ("_scan", "violating_suffix", "successor"):
+            monkeypatch.setattr(core, name, broken)
+        for name in ("term_at", "index_of", "_high_parts"):
+            monkeypatch.setattr(sequence, name, broken)
         return expected
 
-    def test_members_are_answered(self, no_core_scan):
+    def test_members_are_answered(self, no_fast_paths):
         assert [oracle.brute_range(k) for k in range(1, 5)] == [[1], [3], [5, 7], [11, 13, 15]]
         assert oracle.brute_successor(55) == 59
         assert oracle.kasa_zero_bounds(2893215)
+        assert oracle._successor(2893215) == 2893231
+        # the b-file anchor, and a term that test_no_successor_walk pins
+        for i, d in [(13496, 65535), (10**18, 9983547819144068307)]:
+            assert (oracle._term_at(i), oracle._index_of(d)) == (d, i)
 
-    @pytest.mark.parametrize("refuse", [oracle.brute_successor, oracle.kasa_zero_bounds])
-    def test_non_members_are_refused_as_before(self, no_core_scan, refuse):
-        for n, error in no_core_scan.items():
+    @pytest.mark.parametrize(
+        "refuse",
+        [oracle.brute_successor, oracle.kasa_zero_bounds, oracle._successor, oracle._index_of],
+    )
+    def test_non_members_are_refused_as_before(self, no_fast_paths, refuse):
+        for n, error in no_fast_paths.items():
             with pytest.raises(core.NotDyckNumberError) as exc_info:
                 refuse(n)
             assert type(exc_info.value) is core.NotDyckNumberError

@@ -2,7 +2,6 @@
 
 import random
 from itertools import islice
-from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,12 +66,7 @@ class TestRanges:
 
     def test_terms_are_exactly_the_k_bit_dyck_numbers(self):
         for k in range(1, 9):
-            brute = [
-                n
-                for n in range(1 << (k - 1), 1 << k)
-                if oracle._suffix_balanced(n)
-            ]
-            assert sequence.range_terms(k) == brute
+            assert sequence.range_terms(k) == oracle.brute_range(k)
 
     def test_range_firsts(self):
         firsts = [next(sequence.iter_range(k)) for k in range(1, 16)]
@@ -234,7 +228,7 @@ class TestBlockWalk:
         B = sequence._B
         ends = {}
         for w in range(1 << B):
-            heights = [2 * bin(w & ((1 << p) - 1)).count("1") - p for p in range(1, B + 1)]
+            heights = oracle._heights(w, B)
             if min(heights) >= 0:
                 ends[w] = heights[-1]
         assert len(tails) == B + 1
@@ -372,49 +366,6 @@ class TestBlockWalk:
         self._agrees(sequence.term_at(rng.randrange(lo, 2 * lo)), count=2000)
 
 
-def _completions(r, need):
-    # nonnegative walks of r steps that end at height >= need; the ballot
-    # numbers C(r,(r+h)/2) - C(r,(r+h)/2+1) summed over h >= need
-    # telescope to one binomial, which is 0 once need > r. term_at and
-    # index_of step these counts instead
-    return comb(r, (r + need + 1) // 2)
-
-
-def _per_digit_term_at(i):
-    # the ranking by definition: one _completions count per range skipped
-    # and per digit chosen, with no table and no stepped count
-    if i == 1:
-        return 0
-    rank, k = i - 2, 1
-    while rank >= (size := _completions(k - 1, 0)):
-        rank -= size
-        k += 1
-    d, need = 1, 0
-    for r in range(k - 2, -1, -1):
-        with_zero = _completions(r, need + 1)
-        if rank < with_zero:
-            d, need = d << 1, need + 1
-        else:
-            rank -= with_zero
-            d, need = d << 1 | 1, max(0, need - 1)
-    return d
-
-
-def _per_digit_index_of(d):
-    if d == 0:
-        return 1
-    k = d.bit_length()
-    ordinal = 2 + sum(_completions(r, 0) for r in range(k - 1))
-    need = 0
-    for r, bit in zip(range(k - 2, -1, -1), bin(d)[3:]):
-        if bit == "1":
-            ordinal += _completions(r, need + 1)
-            need = max(0, need - 1)
-        else:
-            need += 1
-    return ordinal
-
-
 def _dp_count_up_to(d):
     # Dyck numbers n <= d, counted digit by digit from the low end with no
     # binomials: le[h] and gt[h] count the walks of the digits so far that
@@ -441,17 +392,17 @@ def _dp_count_up_to(d):
 
 
 class TestSteppedRanking:
-    """term_at and index_of step their counts; check them against the definition."""
+    """term_at and index_of step their counts; check them against the oracle's."""
 
     @given(st.integers(0, 400).flatmap(lambda b: st.integers(1 << b, (2 << b) - 1)))
     @settings(deadline=None, max_examples=150)
     def test_term_at_against_per_digit_counts(self, i):
-        assert sequence.term_at(i) == _per_digit_term_at(i)
+        assert sequence.term_at(i) == oracle._term_at(i)
 
     @given(high_parts(floor=0, max_bits=400))
     @settings(deadline=None, max_examples=150)
     def test_index_of_against_per_digit_counts(self, d):
-        assert sequence.index_of(d) == _per_digit_index_of(d)
+        assert sequence.index_of(d) == oracle._index_of(d)
 
     @pytest.mark.parametrize("bits", [1000, 2000, 4000])
     def test_wide_round_trips(self, bits):

@@ -2,8 +2,9 @@
 
 Run it from anywhere with ``python tools/mutants.py``; it needs pytest and
 hypothesis, as the tests do. Each mutant is one exact text replacement in
-one file. For each, the script copies src/, tests/, checks/ and
-pyproject.toml to a temporary directory, applies the replacement there and
+one file. For each, the script copies src/, tests/, checks/,
+pyproject.toml and README.md to a temporary directory, applies the
+replacement there and
 runs the named tests, files or pytest node ids, with
 ``-x -q -p no:cacheprovider`` under a time limit. The tests must fail: a
 mutant whose tests pass survives. Before the mutants, the same tests
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "checks", "pyproject.toml")
+COPIED = ("src", "tests", "checks", "pyproject.toml", "README.md")
 # a loop that never ends fails its test at the 120 s limit of
 # tests/conftest.py or of a long check; this limit only stops a run that
 # hangs past those, which counts as an error
@@ -286,6 +287,14 @@ MUTANTS = (
         "_CHUNK = 1 << 30",
         ("checks/test_long.py::test_long[range-24-list-in-bounded-memory]",),
     ),
+    # the README's dyck transcript pins the CLI's stdout
+    Mutant(
+        "check names the suffix in other words",
+        CLI,
+        'print(f"no (violating suffix {suffix})")',
+        'print(f"no (offending suffix {suffix})")',
+        ("tests/test_readme.py",),
+    ),
     # the block walk's combine of a high part with its row of low blocks
     Mutant(
         "high part not shifted",
@@ -312,15 +321,44 @@ MUTANTS = (
     Mutant(
         "oracle refuses by core's membership test",
         ORACLE,
-        "if not _suffix_balanced(n):",
+        "if suffix is not None:",
         'if not __import__("dycknum.core").core.is_dyck_number(n):',
         ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle names a refusal's suffix by core's scan",
         ORACLE,
-        "raise NotDyckNumberError(n, _violating_suffix(n))",
-        'raise NotDyckNumberError(n, __import__("dycknum.core").core.violating_suffix(n))',
+        "suffix = _violating_suffix(n)",
+        'suffix = __import__("dycknum.core").core.violating_suffix(n)',
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle keeps a 0 digit when the rank left equals its count",
+        ORACLE,
+        "if rank < with_zero:",
+        "if rank <= with_zero:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle's successor tries one candidate too few at a 0 digit",
+        ORACLE,
+        "for ones in range(p + 1):",
+        "for ones in range(p):",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle ranks through sequence",
+        ORACLE,
+        "    rank, k = i - 2, 1\n",
+        '    return __import__("dycknum.sequence").sequence.term_at(i)\n',
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "oracle's successor through core",
+        ORACLE,
+        "    for p in range(d.bit_length() + 1):\n",
+        '    return __import__("dycknum.core").core.successor(d)\n'
+        "    for p in range(d.bit_length() + 1):\n",
         ("tests/test_oracle.py",),
     ),
 )
