@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import count, islice
+from itertools import islice
 
 # a handler imports the other submodules it uses, so that a process loads
 # only what its subcommand runs
 from . import __version__, core
 
-_CHUNK = 4096
+# about how many bits of terms _write takes at a time
+_CHUNK_BITS = 1 << 17
 # the last range that range (stats) and verify-conjecture count; each range
 # costs about twice the one before
 MAX_COUNTED_RANGE = 32
@@ -58,6 +59,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _count(text: str) -> int:
+    value = _positive(text)
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be at most sys.maxsize = {sys.maxsize}: {text!r}")
+    return value
+
+
 def _too_wide(n: int, what: str) -> str:
     return (
         f"{n.bit_length()}-bit {what} has more decimal digits than "
@@ -66,9 +74,10 @@ def _too_wide(n: int, what: str) -> str:
 
 
 def _write(terms, binary=False, sep="\n", offset=None) -> None:
-    """Write ascending terms to stdout, _CHUNK at a time, each followed by
-    sep and the last by a newline, or as b-file lines indexed from offset;
-    a ValueError refuses the first term too wide for decimal text."""
+    """Write ascending terms to stdout about _CHUNK_BITS bits at a time,
+    each followed by sep and the last by a newline, or as b-file lines
+    indexed from offset; a ValueError refuses the first term too wide for
+    decimal text."""
     from bisect import bisect_left
 
     if offset is not None:
@@ -77,8 +86,9 @@ def _write(terms, binary=False, sep="\n", offset=None) -> None:
     bound = 10**limit if limit else float("inf")
     form = ("{:b}" if binary else "{}") + sep
     terms, tail = iter(terms), ""
-    for index in count(offset or 0, _CHUNK):
-        chunk = tuple(islice(terms, _CHUNK))
+    index, size = offset or 0, 1
+    while True:
+        chunk = tuple(islice(terms, size))
         cut = bisect_left(chunk, bound)
         if offset is not None:
             text = tail + emit_bfile(chunk[:cut], index)
@@ -87,8 +97,11 @@ def _write(terms, binary=False, sep="\n", offset=None) -> None:
         # each term's text ends in its separator; the last waits for the end
         sys.stdout.write(text[:-1])
         tail = text[-1:]
-        if cut < _CHUNK:
+        if cut < size:
             break
+        # the terms ascend, so the next ones are at least as wide as the last
+        index += size
+        size = _CHUNK_BITS // (chunk[-1].bit_length() + 1) or 1
     sys.stdout.write(tail and "\n")
     if cut < len(chunk):
         if offset is not None:
@@ -113,7 +126,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_succ(args: argparse.Namespace) -> int:
     from . import sequence
 
-    _write(islice(sequence.iter_from(args.number), 1, args.count + 1), args.binary)
+    terms = sequence.iter_from(args.number)
+    next(terms)  # the start itself
+    _write(islice(terms, args.count), args.binary)
     return 0
 
 
@@ -121,7 +136,11 @@ def _cmd_range(args: argparse.Namespace) -> int:
     from . import sequence
 
     if args.list:
-        _write(sequence.iter_range(args.k), args.binary, sep=" ")
+        try:
+            terms = sequence.iter_range(args.k)
+        except OverflowError:
+            args.parser.error(f"range {args.k}: Python cannot build integers of {args.k} bits")
+        _write(terms, args.binary, sep=" ")
         return 0
     _require_counted(args, args.k)
     stats = sequence.range_stats(args.k)
@@ -242,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("number", type=_natural)
     p.add_argument(
-        "--count", type=_positive, default=1, help="how many successors (default 1)"
+        "--count", type=_count, default=1, help="how many successors (default 1)"
     )
     p.set_defaults(func=_cmd_succ)
 
@@ -264,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--start", type=_natural, default=0, help="first value to emit (default 0)"
     )
     p.add_argument(
-        "--count", type=_positive, default=20, help="how many terms (default 20)"
+        "--count", type=_count, default=20, help="how many terms (default 20)"
     )
     p.add_argument(
         "--skip-zero", action="store_true", help="start at 1, omitting the empty path"
@@ -296,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bfile", help="emit b-file lines, or --check them against a reference file"
     )
     p.add_argument(
-        "--count", type=_positive, default=None, help="how many terms (default 20)"
+        "--count", type=_count, default=None, help="how many terms (default 20)"
     )
     p.add_argument(
         "--offset", type=_positive, default=None, help="first index (default 1)"

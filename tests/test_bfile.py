@@ -130,6 +130,19 @@ class TestEmit:
         for size in range(len(terms) + 1):
             assert bfile.emit_bfile(terms[:size], offset) == "".join(lines[:size])
 
+    # 10^5 lines from index 0, past the lines below 10 that are written
+    # one at a time and the century seams at 100, 1,000 and 10,000, and
+    # from 50,000 before 10^6 and before 10^12, where the index prefix
+    # written once per hundred lines gains a digit; the text parsed in bulk
+    # back
+    @pytest.mark.parametrize("offset", [0, 10**6 - 5 * 10**4, 10**12 - 5 * 10**4])
+    def test_digit_boundaries_are_the_f_string_rendering(self, offset):
+        rng = random.Random(offset)
+        terms = tuple(rng.getrandbits(rng.randrange(1, 70)) for _ in range(10**5))
+        text = bfile.emit_bfile(terms, offset)
+        assert text == _rendering(terms, offset)
+        assert bfile.parse_bfile(text) == bfile.BFile(offset, terms)
+
     @pytest.mark.skipif(not _LIMIT, reason="no limit on int <-> decimal text conversion")
     @pytest.mark.parametrize(
         "size, offset",

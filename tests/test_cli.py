@@ -14,6 +14,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _child_env():
+    # the environment of a child process that imports this dycknum
+    import os
+
+    src = os.path.dirname(os.path.dirname(bfile.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestCheck:
     def test_yes(self, capsys):
         code, out, _ = run(capsys, "check", "21")
@@ -141,6 +150,17 @@ class TestCountingBound:
             "",
         )
 
+    def test_list_past_what_python_can_build_is_refused(self, capsys):
+        # its terms would have more bits than a Python int can hold
+        k = "100000000000000000000"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["range", k, "--list"])
+        captured = capsys.readouterr()
+        assert (exc_info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            f"dyck range: error: range {k}: Python cannot build integers of {k} bits\n"
+        )
+
 
 class TestEnumerate:
     def test_defaults(self, capsys):
@@ -211,11 +231,17 @@ class TestConvert:
 
 class TestVerifyConjecture:
     def test_holds(self, capsys):
-        code, out, _ = run(capsys, "verify-conjecture", "--max-range", "5")
-        lines = out.splitlines()
-        assert code == 0
-        assert lines[0] == "range 1: size=1 expected=1 match"
-        assert lines[-1] == "conjecture holds for ranges 1..5"
+        # through the counting bound, range 32: 614 M terms counted by the
+        # lengths of 1.05 M rows of low blocks
+        for last in (5, cli.MAX_COUNTED_RANGE):
+            code, out, _ = run(capsys, "verify-conjecture", "--max-range", str(last))
+            lines = out.splitlines()
+            assert code == 0
+            assert lines[0] == "range 1: size=1 expected=1 match"
+            assert len(lines) == last + 1
+            for k, line in enumerate(lines[:-1], start=1):
+                assert line.startswith(f"range {k}: ") and line.endswith(" match"), line
+            assert lines[-1] == f"conjecture holds for ranges 1..{last}"
 
     def test_a_wrong_size_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(sequence, "central_binomial", lambda m: 1)
@@ -251,7 +277,8 @@ class TestBFileCommand:
     @pytest.mark.parametrize("offset", [1, 10**18])
     @pytest.mark.parametrize("count", [4095, 4096, 4097, 9000])
     def test_chunked_emission_is_emit_bfile(self, capsys, count, offset):
-        # lines are written 4,096 at a time
+        # lines are written in chunks: the first line, then about
+        # cli._CHUNK_BITS bits of terms at a time
         from itertools import islice
 
         terms = islice(sequence.iter_from(sequence.term_at(offset)), count)
@@ -351,16 +378,12 @@ class TestBFileCommand:
 
     def test_check_reads_utf8_under_the_c_locale(self, tmp_path):
         # a comment outside ASCII must not depend on the locale's encoding
-        import os
         import subprocess
 
         path = tmp_path / "b036991.txt"
         text = "# A036991 — Dyck numbers, é\n" + bfile.emit_bfile([0, 1, 3, 5, 7])
         path.write_bytes(text.encode("utf-8"))
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
-        )
+        env = dict(_child_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         proc = subprocess.run(
             [sys.executable, "-m", "dycknum.cli", "bfile", "--check", str(path)],
             capture_output=True,
@@ -519,7 +542,8 @@ class TestDecimalDigitLimit:
 
 
 class TestWriter:
-    # every term the CLI prints goes out 4,096 at a time
+    # every term the CLI prints goes out in chunks: the first term, then
+    # about cli._CHUNK_BITS bits of terms at a time
     @pytest.mark.parametrize("binary", [False, True])
     @pytest.mark.parametrize("count", [4095, 4096, 4097, 9000])
     def test_streams_are_the_library_stream(self, capsys, count, binary):
@@ -619,6 +643,17 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["succ", "--count", "0", "1"])
 
+    @pytest.mark.parametrize("command", [["succ", "0"], ["enumerate"], ["bfile"]])
+    def test_count_past_sys_maxsize_is_refused(self, capsys, command):
+        # no stream that long can be sliced, nor written in a lifetime
+        count = str(sys.maxsize + 1)
+        with pytest.raises(SystemExit) as exc_info:
+            main([*command, "--count", count])
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --count: must be at most sys.maxsize = {sys.maxsize}: '{count}'\n"
+        )
+
     def test_negative_number(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["check", "--", "-5"])
@@ -648,18 +683,13 @@ class TestBrokenPipe:
     def read_one_line_and_close(*argv):
         # the first line, then dyck's exit status and stderr once the reader
         # has gone
-        import os
         import subprocess
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "dycknum.cli", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
         )
         line = proc.stdout.readline()
         proc.stdout.close()
@@ -673,7 +703,7 @@ class TestBrokenPipe:
         assert self.read_one_line_and_close(*argv) == (b"0\n", 0, b"")
 
     def test_reader_closing_the_pipe_ends_a_bfile_run_cleanly(self):
-        # dyck bfile writes 4,096 lines at a time
+        # dyck bfile writes its lines a chunk at a time
         argv = ["bfile", "--count", "200000"]
         assert self.read_one_line_and_close(*argv) == (b"1 0\n", 0, b"")
 
@@ -682,18 +712,13 @@ class TestStartUp:
     @staticmethod
     def probe(code):
         # -S, since a site module may preload some modules itself
-        import os
         import subprocess
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.dirname(os.path.dirname(bfile.__file__)), env.get("PYTHONPATH")])
-        )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
             capture_output=True,
             text=True,
-            env=env,
+            env=_child_env(),
             timeout=60,
         )
         return proc.returncode, proc.stdout, proc.stderr
@@ -738,6 +763,48 @@ class TestStartUp:
             "print(code, sorted(m for m in sys.modules if m.startswith('dycknum.')))\n"
         )
         assert self.probe(probe) == (0, f"{out}0 {loaded}\n", "")
+
+
+class TestWriterMemory:
+    # dyck's peak RSS, as its parent sees it. The parent is a fresh child
+    # of pytest, since a child started from a large process can report
+    # that process's peak as its own. It reads size bytes (0 for all) and
+    # closes the pipe; dyck's heap may not pass 256 MB, so that a writer
+    # that takes a stream whole fails in seconds instead of filling memory
+    PEAK = """
+import resource, subprocess, sys
+size, *argv = sys.argv[1:]
+limit = lambda: resource.setrlimit(resource.RLIMIT_DATA, (1 << 28, 1 << 28))
+argv = [sys.executable, "-m", "dycknum.cli", *argv]
+with subprocess.Popen(argv, stdout=subprocess.PIPE, preexec_fn=limit) as proc:
+    head = proc.stdout.read(int(size) or -1)
+    proc.stdout.close()
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+sys.stdout.buffer.write(b"%d %f\\n" % (proc.returncode, peak_mb) + head)
+"""
+
+    @pytest.mark.parametrize(
+        "k, binary, size, terms",
+        # 1.35 M terms, whose whole list peaks at 119 MB, and 1 MB of
+        # 50,000-bit terms, of which 4,096 terms at a time peak at 653 MB
+        [(24, False, 0, None), (50000, True, 1 << 20, 21)],
+        ids=["range-24", "range-50000-binary"],
+    )
+    def test_range_list_peaks_below_30_mb(self, k, binary, size, terms):
+        import subprocess
+        from itertools import islice
+
+        argv = [sys.executable, "-c", self.PEAK, str(size), "range", str(k), "--list"]
+        proc = subprocess.run(
+            argv + ["--binary"] * binary, capture_output=True, env=_child_env(), timeout=60
+        )
+        status, out = proc.stdout.split(b"\n", 1)
+        code, peak_mb = status.split()
+        assert (int(code), proc.stderr) == (0, b"")
+        form = "{:b}" if binary else "{}"
+        text = " ".join(map(form.format, islice(sequence.iter_range(k), terms))) + "\n"
+        assert out == text.encode()[: size or None]
+        assert float(peak_mb) < 30
 
 
 class TestDeterminism:

@@ -51,15 +51,23 @@ class TestRepunitSuffix:
             core.repunit_suffix_len(-3)
 
 
-def _random_member(rng, width):
-    # a width-bit Dyck number: random steps from the low end, an up step
-    # wherever the walk stands on the ground, and the leading 1 on top
+def _walk(rng, width, ground=False):
+    # the digits of a random walk of width steps that never dips, first
+    # step lowest: an up step wherever it stands on the ground, and a 1 on
+    # top, so a width-bit Dyck number; or, with ground, for an even width,
+    # down steps wherever it must to end on the ground
     d = h = 0
-    for p in range(width - 1):
-        bit = 1 if h == 0 else rng.getrandbits(1)
+    for p in range(width):
+        left = width - p
+        if h == 0 or not ground and left == 1:
+            bit = 1
+        elif ground and h == left:
+            bit = 0
+        else:
+            bit = rng.getrandbits(1)
         d |= bit << p
         h += 1 if bit else -1
-    return d | 1 << (width - 1)
+    return d
 
 
 def _dip_on_top(d):
@@ -69,43 +77,43 @@ def _dip_on_top(d):
     return 1 << (2 * d.bit_count() + 1) | d
 
 
-def _ground_walk(rng, steps):
-    # the digits of a random walk of an even number of steps that never
-    # dips and ends on the ground, first step lowest
-    d = h = 0
-    for p in range(steps):
-        bit = 1 if h == 0 else 0 if h == steps - p else rng.getrandbits(1)
-        d |= bit << p
-        h += 1 if bit else -1
-    return d
+@cache
+def _wide_member(width):
+    return _walk(random.Random(width), width)
 
 
 class TestWideDips:
     """The dip's position, recovered from the bytes the scan has not read.
 
     A member of 10^4 + 5 bits, so that its top byte is partial, gets a dip
-    planted at each offset of four of its bytes. A path first dips after
-    an odd number of steps, at an even digit, so the dip for an odd offset
-    lands on the next digit, the next byte's first for offset 7.
+    planted at each offset of four of its bytes, and one of 10^5 bits at
+    each offset of three. A path first dips after an odd number of steps,
+    at an even digit, so the dip for an odd offset lands on the next
+    digit, the next byte's first for offset 7.
     """
 
     WIDTH = 10**4 + 5
+    # the width and byte index of each case
     BYTES = {
-        "first": 0,
-        "middle": WIDTH // 16,
-        "last-full": WIDTH // 8 - 1,
-        "partial-top": WIDTH // 8,
+        "first": (WIDTH, 0),
+        "middle": (WIDTH, WIDTH // 16),
+        "last-full": (WIDTH, WIDTH // 8 - 1),
+        "partial-top": (WIDTH, WIDTH // 8),
+        "10^5-first": (10**5, 0),
+        "10^5-middle": (10**5, 10**5 // 16),
+        "10^5-last": (10**5, 10**5 // 8 - 1),
     }
 
     @pytest.mark.parametrize("offset", range(8))
-    @pytest.mark.parametrize("byte", BYTES)
-    def test_planted_dip(self, byte, offset):
-        rng = random.Random(8 * self.BYTES[byte] + offset)
-        d = _random_member(rng, self.WIDTH)
-        q = 8 * self.BYTES[byte] + offset + offset % 2
+    @pytest.mark.parametrize("case", BYTES)
+    def test_planted_dip(self, case, offset):
+        width, byte = self.BYTES[case]
+        rng = random.Random(8 * byte + offset)
+        d = _wide_member(width)
+        q = 8 * byte + offset + offset % 2
         # a walk on the ground through digit q - 1, a down step at q, and
         # the member's digits above, with at least a 1 above q
-        n = (d >> q + 1 | 1) << q + 1 | _ground_walk(rng, q)
+        n = (d >> q + 1 | 1) << q + 1 | _walk(rng, q, ground=True)
         suffix = oracle._violating_suffix(n)
         assert suffix == bin(n)[-(q + 1) :]
         assert core.violating_suffix(n) == suffix
@@ -126,10 +134,19 @@ class TestWideDips:
             core.from_dyck_word(word)
         assert exc_info.value.reason == reason
 
+    @pytest.mark.parametrize("width", [WIDTH, 10**5])
+    def test_member_against_the_oracle(self, width):
+        d = _wide_member(width)
+        assert d.bit_length() == width
+        assert oracle._violating_suffix(d) is None
+        assert core.violating_suffix(d) is None
+        assert core.valley_depth(d) == oracle._valley_depth(d)
+        assert core.successor(d) == oracle._successor(d)
+
     def test_zero_padding_of_the_top_byte_is_no_dip(self):
         # a member ending at height 1 with 5 digits in its top byte: the
         # second of the three padding zeros above it would reach height -1
-        n = 1 << self.WIDTH - 1 | _ground_walk(random.Random(0), self.WIDTH - 1)
+        n = 1 << self.WIDTH - 1 | _walk(random.Random(0), self.WIDTH - 1, ground=True)
         assert n.bit_length() == self.WIDTH and self.WIDTH % 8 == 5
         heights = oracle._heights(n)
         assert heights[-1] == 1 and min(heights) >= 0
@@ -164,7 +181,7 @@ class TestScanner:
         rng = random.Random(20)
         members = [d for d in range(1 << 12) if oracle._violating_suffix(d) is None]
         for width in range(13, 21):
-            members += [_random_member(rng, width) for _ in range(60)]
+            members += [_walk(rng, width) for _ in range(60)]
             members += [core.mersenne(width), core.mersenne(width) ^ 1 << width - 2]
         for d in members:
             assert core.successor(d) == oracle.brute_successor(d), d
@@ -174,7 +191,7 @@ class TestScanner:
         # which the oracle reads one digit pair at a time
         rng = random.Random(14)
         members = [d for d in range(1 << 14) if oracle._violating_suffix(d) is None]
-        members += [_random_member(rng, w) for w in (*range(60, 70), 255, 256, 257, 10**4)]
+        members += [_walk(rng, w) for w in (*range(60, 70), 255, 256, 257, 10**4)]
         for d in members:
             assert core.valley_depth(d) == oracle._valley_depth(d), d
 
@@ -239,10 +256,6 @@ class TestHeightProfile:
         with pytest.raises(core.NotDyckNumberError):
             core.height_profile(9)
 
-    def test_matches_direct_count(self):
-        for d in HEAD[1:]:
-            assert core.height_profile(d) == oracle._heights(d)
-
     def test_mersenne_profile_climbs_past_a_signed_byte(self):
         # the steps are signed bytes, but the running sums must not wrap at 127
         assert core.height_profile(2**300 - 1) == list(range(1, 301))
@@ -252,18 +265,18 @@ class TestHeightProfile:
     )
     def test_matches_a_per_bit_recount(self, width):
         rng = random.Random(width)
-        for d in (core.mersenne(width), *(_random_member(rng, width) for _ in range(3))):
+        for d in (core.mersenne(width), *(_walk(rng, width) for _ in range(3))):
             assert core.height_profile(d) == oracle._heights(d), width
 
     @pytest.mark.parametrize(
         "n",
         [
-            _random_member(random.Random(1), 10**4) << 1,
+            _walk(random.Random(1), 10**4) << 1,
             # up 3 steps, then down through the second byte
-            _random_member(random.Random(2), 10**4) << 12 | 0b111,
+            _walk(random.Random(2), 10**4) << 12 | 0b111,
             # up 4999 steps, then 5002 down: the dip is at digit 9999 of 10002
             1 << 10001 | core.mersenne(4999),
-            _dip_on_top(_random_member(random.Random(3), 10**4)),
+            _dip_on_top(_walk(random.Random(3), 10**4)),
         ],
         ids=["first-digit", "second-byte", "digit-9999", "top-digit"],
     )

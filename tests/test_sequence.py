@@ -64,10 +64,6 @@ class TestRanges:
         with pytest.raises(ValueError):
             next(sequence.iter_range(0))
 
-    def test_terms_are_exactly_the_k_bit_dyck_numbers(self):
-        for k in range(1, 9):
-            assert sequence.range_terms(k) == oracle.brute_range(k)
-
     def test_range_firsts(self):
         firsts = [next(sequence.iter_range(k)) for k in range(1, 16)]
         assert firsts == RANGE_FIRSTS
@@ -290,9 +286,10 @@ class TestBlockWalk:
     def test_range_stops_by_value(self, monkeypatch):
         # a count of C(k-1, (k-1)//2) terms must play no part in where a
         # range ends, or verify_conjecture would check the count against
-        # itself; range 12 ends inside the table of terms below 2**12
+        # itself; range 12 ends inside the table of terms below 2**12, and
+        # range 26 is walked term by term, 5.2 M of them
         monkeypatch.setattr(sequence, "central_binomial", lambda m: 1)
-        for k, size in [(12, 462), (18, 24310)]:
+        for k, size in [(12, 462), (18, 24310), (26, 5200300)]:
             assert sum(1 for _ in sequence.iter_range(k)) == size, k
 
     def test_import_builds_no_table(self):
@@ -404,12 +401,27 @@ class TestSteppedRanking:
     def test_index_of_against_per_digit_counts(self, d):
         assert sequence.index_of(d) == oracle._index_of(d)
 
-    @pytest.mark.parametrize("bits", [1000, 2000, 4000])
+    # at 24-27 bits, past the terms below 2**24 into the table's tail of
+    # range first ranks, at 60-70 bits across the end of that tail (64
+    # bits), and wide; up to 1,000 bits also against the oracle's per-digit
+    # counts, which wider ordinals make slow
+    @pytest.mark.parametrize("bits", [*range(24, 28), *range(60, 71), 1000, 2000, 4000, 10**4])
     def test_wide_round_trips(self, bits):
-        i = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
-        d = sequence.term_at(i)
-        assert sequence.index_of(d) == i
-        assert sequence.term_at(i + 1) == core.successor(d)
+        rng = random.Random(bits)
+        for _ in range(3):
+            i = rng.getrandbits(bits) | 1 << (bits - 1)
+            d = sequence.term_at(i)
+            assert sequence.index_of(d) == i
+            assert sequence.term_at(i + 1) == core.successor(d)
+            if bits <= 1000:
+                assert (oracle._term_at(i), oracle._index_of(d)) == (d, i)
+        if bits >= 1000:
+            # index_of reads membership from its own count: a block that
+            # dips, under a member's upper digits, and 24 zero digits,
+            # which dip deeper than any block climbs
+            for n in (d - 1, d >> 25 << 25 | 1):
+                with pytest.raises(core.NotDyckNumberError):
+                    sequence.index_of(n)
 
     def test_1000_bit_ordinal_against_a_digit_dp(self):
         i = random.Random(1).getrandbits(1000) | 1 << 999

@@ -2,9 +2,8 @@
 
 Run it from anywhere with ``python tools/mutants.py``; it needs pytest and
 hypothesis, as the tests do. Each mutant is one exact text replacement in
-one file. For each, the script copies src/, tests/, checks/,
-pyproject.toml and README.md to a temporary directory, applies the
-replacement there and
+one file. For each, the script copies src/, tests/, pyproject.toml and
+README.md to a temporary directory, applies the replacement there and
 runs the named tests, files or pytest node ids, with
 ``-x -q -p no:cacheprovider`` under a time limit. The tests must fail: a
 mutant whose tests pass survives. Before the mutants, the same tests
@@ -26,10 +25,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "checks", "pyproject.toml", "README.md")
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
 # a loop that never ends fails its test at the 120 s limit of
-# tests/conftest.py or of a long check; this limit only stops a run that
-# hangs past those, which counts as an error
+# tests/conftest.py; this limit only stops a run that hangs past it,
+# which counts as an error
 LIMIT_S = 600
 
 
@@ -279,13 +278,15 @@ MUTANTS = (
         "bound = 10 ** (limit + 1) if limit",
         ("tests/test_cli.py",),
     ),
-    # the output is the same; only the memory of a long stream grows
+    # the output is the same; only the memory of a long stream grows. The
+    # node id leaves out range 50000, where such a writer takes about 20 s
+    # to reach the heap limit that the test sets
     Mutant(
         "the writer takes a stream whole",
         CLI,
-        "_CHUNK = 4096",
-        "_CHUNK = 1 << 30",
-        ("checks/test_long.py::test_long[range-24-list-in-bounded-memory]",),
+        "_CHUNK_BITS = 1 << 17",
+        "_CHUNK_BITS = 1 << 40",
+        ("tests/test_cli.py::TestWriterMemory::test_range_list_peaks_below_30_mb[range-24]",),
     ),
     # the README's dyck transcript pins the CLI's stdout
     Mutant(
