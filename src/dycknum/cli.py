@@ -138,7 +138,10 @@ def _cmd_range(args: argparse.Namespace) -> int:
     if args.list:
         try:
             terms = sequence.iter_range(args.k)
-        except OverflowError:
+        except (OverflowError, MemoryError):
+            # past what a Python int can hold, or what memory can: CPython
+            # refuses 1 << k at once for k near 2**63, and a heap limit
+            # refuses it for smaller k
             args.parser.error(f"range {args.k}: Python cannot build integers of {args.k} bits")
         _write(terms, args.binary, sep=" ")
         return 0

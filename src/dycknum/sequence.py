@@ -10,16 +10,22 @@ C(k-1, floor((k-1)/2)) terms, the central binomial sequence A001405.
 term_at and index_of rank and unrank exactly through one table of first
 ranks, built on the first ranking past the terms below 2**12: the rank
 at which each 12-digit high part's row of low blocks starts, and then
-the counts of Dyck numbers below 2**k for k = 25..64. A rank below 2**24
-takes one bisection of it and one index into a row. From 25 bits on they
-count the walks with ballot numbers: a range of up to 64 bits is found
-in the same table, wider ones by their sizes, and each count is stepped
-from the one before by one multiply and one exact divide by small
-integers, so an ordinal costs O(k) such steps and no successor steps.
-index_of reads membership once, from a row of low blocks: the digits
-above the lowest 12 fix the row that can complete them, and the input is
-a Dyck number exactly when its lowest 12 digits are in that row, so only
-a refusal scans the input to name its violating suffix.
+the counts of Dyck numbers below 2**k for k = 25..64. Built with it, a
+list of block places per row gives each of the 4,096 low blocks its
+place in that row, or -1 where the block does not complete the high
+part; rows are shared by need, so there are 7 such lists. Below 2**24,
+term_at takes one bisection of the table of first ranks and one index
+into a row, and index_of two list indexings. From 25 bits on they count
+the walks with ballot numbers: a range of up to 64 bits is found in the
+same table, wider ones by their sizes, and each count is stepped from
+the one before by one multiply and one exact divide by small integers,
+so an ordinal costs O(k) such steps and no successor steps. index_of
+reads membership once, from a list of block places: the digits above
+the lowest 12 fix the row that can complete them, and the input is a
+Dyck number exactly when its lowest 12 digits have a place in that row,
+so only a refusal scans the input to name its violating suffix. Below
+2**12 it bisects the table of small terms instead, which needs no table
+of first ranks.
 
 iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
@@ -69,6 +75,10 @@ def central_binomial(m: int) -> int:
 # (Navarro & Sadakane, ACM TALG 2014) applied to generation in order, as in
 # Knuth's Algorithm P (TAOCP 4A, 7.2.1.6).
 _B = 12
+# the mask of a low block, and the bound below which a term is a high part
+# with a row of low blocks of its own in _high_parts()
+_MASK = (1 << _B) - 1
+_NARROW = 1 << 2 * _B
 
 
 @cache
@@ -117,12 +127,11 @@ def _rows(d: int, last: int | None) -> Iterator[tuple[int, tuple[int, ...]]]:
     # last is a Mersenne number: the steps reach its high part, and its low
     # block 2**_B - 1 ends every row, so only a first row there is cut short.
     small, tails = _tables()
-    mask = (1 << _B) - 1
     high = d >> _B
     top = None if last is None else last >> _B
     row = tails[-core._lowest(high)] if high else small
-    stop = bisect_right(row, last & mask) if high == top else None
-    yield high, row[bisect_left(row, d & mask) : stop]
+    stop = bisect_right(row, last & _MASK) if high == top else None
+    yield high, row[bisect_left(row, d & _MASK) : stop]
     while high != top:
         high, need = _next_high(high)
         yield high, tails[need]
@@ -204,15 +213,23 @@ def _ranges(m: int) -> Iterator[tuple[int, int]]:
 
 # the ranges of 25 to 64 bits, whose sizes _high_parts()'s starts go on to sum
 _TABLED = 40
+# the Dyck numbers below 2**_B, which term_at reads from _tables()'s small
+_SMALL = 1 + sum(map(central_binomial, range(_B)))
 
 
 @cache
-def _high_parts() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    # (rows, starts): rows[h] the low blocks that complete the high part h,
-    # and starts[h] the Dyck numbers below h << _B; needs[h] = -_lowest(h),
-    # stepped from h >> 1 by the digit read first, is at most _B - 1. Past
-    # starts[1 << _B], the count below 2**(2 * _B), the range sizes go on
-    # to the count below 2**(2 * _B + t) at starts[(1 << _B) + t]
+def _high_parts() -> tuple[
+    tuple[tuple[int, ...], ...], tuple[int, ...], tuple[list[int] | None, ...], tuple[list[int], ...]
+]:
+    # (rows, starts, places, spots): rows[h] the low blocks that complete
+    # the high part h, and starts[h] the Dyck numbers below h << _B;
+    # needs[h] = -_lowest(h), stepped from h >> 1 by the digit read first,
+    # is at most _B - 1. Past starts[1 << _B], the count below 2**(2 * _B),
+    # the range sizes go on to the count below 2**(2 * _B + t) at
+    # starts[(1 << _B) + t]. spots[need][w] is the place of the low block
+    # w in tails[need], or -1 where w is not there, one list per distinct
+    # row; places[h] is spots[needs[h]], and places[0] is None, since
+    # index_of bisects small instead
     small, tails = _tables()
     needs = [0]
     for h in range(1, 1 << _B):
@@ -220,7 +237,16 @@ def _high_parts() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         needs.append((g - 1 if g else 0) if h & 1 else g + 1)
     rows = (small, *(tails[need] for need in needs[1:]))
     sizes = (size for _, size in islice(_ranges(2 * _B), _TABLED))
-    return rows, tuple(accumulate(chain(map(len, rows), sizes), initial=0))
+    spots: list[list[int]] = []
+    for need, row in enumerate(tails):
+        if not need or row is not tails[need - 1]:
+            spot = [-1] * (1 << _B)
+            for at, w in enumerate(row):
+                spot[w] = at
+        spots.append(spot)
+    places = (None, *(spots[need] for need in needs[1:]))
+    starts = tuple(accumulate(chain(map(len, rows), sizes), initial=0))
+    return rows, starts, places, tuple(spots)
 
 
 def term_at(i: int) -> int:
@@ -240,10 +266,9 @@ def term_at(i: int) -> int:
     """
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
-    small, tails = _tables()
-    if i <= len(small):
-        return small[i - 1]
-    rows, starts = _high_parts()
+    if i <= _SMALL:
+        return _tables()[0][i - 1]
+    rows, starts, _, _ = _high_parts()
     h = bisect_right(starts, i - 1) - 1
     rank = i - 1 - starts[h]
     if h < len(rows):
@@ -278,7 +303,7 @@ def term_at(i: int) -> int:
             rank -= c
             d = d << 1 | 1
             need = need - 1 if need else 0
-    return d << _B | tails[need][rank]
+    return d << _B | _tables()[1][need][rank]
 
 
 def index_of(d: int) -> int:
@@ -290,22 +315,27 @@ def index_of(d: int) -> int:
     it adds the count below d's range, read from the same table up to 64
     bits and summed from range sizes above it, then, at each 1-digit of d
     below its leading 1, the terms that carry a 0 there instead, stepped
-    as in term_at. Terms below 2**12 and the last 12 digits are placed in
-    their tables by one bisection, which decides membership too: d is a
-    Dyck number exactly when it is found in the table of small terms, or
-    when its last 12 digits are in the row of low blocks that the digits
-    above them need. Otherwise NotDyckNumberError is raised, with the
-    violating suffix that a scan of d names, and ValueError for d < 0.
+    as in term_at. A term below 2**12 is placed in the table of small
+    terms by one bisection, and the last 12 digits of a wider one by one
+    index into the list of block places of the row that the digits above
+    them need. That read decides membership too: d is a Dyck number
+    exactly when it is found in the table of small terms, or when its
+    last 12 digits have a place in that row. Otherwise NotDyckNumberError
+    is raised, with the violating suffix that a scan of d names, and
+    ValueError for d < 0.
     """
-    small, tails = _tables()
-    w = d & ((1 << _B) - 1)
-    if d < 0 or not d >> _B:
-        row, w, ordinal = small, d, 1
-    elif not d >> 2 * _B:
-        rows, starts = _high_parts()
-        row, ordinal = rows[d >> _B], starts[d >> _B] + 1
+    if _MASK < d < _NARROW:
+        _, starts, places, _ = _high_parts()
+        at = places[d >> _B][d & _MASK]
+        if at >= 0:
+            return starts[d >> _B] + 1 + at
+    elif d <= _MASK:
+        small = _tables()[0]
+        at = bisect_left(small, d)
+        if small[at : at + 1] == (d,):
+            return 1 + at
     else:
-        rows, starts = _high_parts()
+        rows, starts, _, spots = _high_parts()
         top = d.bit_length() - 1
         t = top - 2 * _B + len(rows)
         if t + 1 < len(starts):
@@ -331,8 +361,7 @@ def index_of(d: int) -> int:
             else:
                 need += 1
         # past _B, the digits above the block dip deeper than any block climbs
-        row = tails[need] if need <= _B else ()
-    at = bisect_left(row, w)
-    if row[at : at + 1] == (w,):
-        return ordinal + at
+        at = spots[need][d & _MASK] if need <= _B else -1
+        if at >= 0:
+            return ordinal + at
     raise core.NotDyckNumberError(d, core.violating_suffix(d))

@@ -161,6 +161,18 @@ class TestCountingBound:
             f"dyck range: error: range {k}: Python cannot build integers of {k} bits\n"
         )
 
+    def test_list_past_what_python_will_allocate_is_refused(self, capsys):
+        # a Python int can hold 2**64 - 1 bits, but CPython refuses at once
+        # to allocate one that wide
+        k = "18446744073709551615"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["range", k, "--list"])
+        captured = capsys.readouterr()
+        assert (exc_info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            f"dyck range: error: range {k}: Python cannot build integers of {k} bits\n"
+        )
+
 
 class TestEnumerate:
     def test_defaults(self, capsys):
@@ -805,6 +817,20 @@ sys.stdout.buffer.write(b"%d %f\\n" % (proc.returncode, peak_mb) + head)
         text = " ".join(map(form.format, islice(sequence.iter_range(k), terms))) + "\n"
         assert out == text.encode()[: size or None]
         assert float(peak_mb) < 30
+
+    def test_range_list_past_the_heap_limit_is_refused(self):
+        # 10**10-bit terms need 1.25 GB each; under the 256 MB limit the
+        # first one cannot be built, and dyck refuses it as too wide
+        import subprocess
+
+        k = "10000000000"
+        argv = [sys.executable, "-c", self.PEAK, "0", "range", k, "--list"]
+        proc = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=60)
+        status, out = proc.stdout.split(b"\n", 1)
+        assert (int(status.split()[0]), out) == (2, b"")
+        assert proc.stderr.endswith(
+            f"dyck range: error: range {k}: Python cannot build integers of {k} bits\n".encode()
+        )
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 """Unit tests for enumeration, ranges, and ordinal indexing."""
 
 import random
-from itertools import islice
+from itertools import islice, takewhile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -512,7 +512,7 @@ class TestFirstRankTable:
     def test_entries_are_the_summed_range_sizes(self):
         # past the high parts' first ranks, entry k - 24 of the tail counts
         # the terms below 2**k, for k = 24..64
-        rows, starts = sequence._high_parts()
+        rows, starts, _, _ = sequence._high_parts()
         tail = starts[len(rows) :]
         assert len(tail) == sequence._TABLED + 1
         for k, first in enumerate(tail, start=2 * sequence._B):
@@ -535,9 +535,61 @@ class TestHighPartTable:
     """Ranks below 2**24 are read from one table; check it against the core."""
 
     def test_last_start_counts_the_terms_below_2_to_24(self):
-        rows, starts = sequence._high_parts()
+        rows, starts, _, _ = sequence._high_parts()
         assert len(rows) == 1 << sequence._B
         assert starts[1 << sequence._B] == 1 + sum(sequence.central_binomial(j) for j in range(24))
+
+    def test_places_invert_the_rows(self):
+        # places[h][w] is w's place in rows[h], or -1, in one list per
+        # distinct row of low blocks, shared as the rows are
+        B = sequence._B
+        rows, _, places, spots = sequence._high_parts()
+        tails = sequence._tables()[1]
+        assert len(spots) == B + 1
+        assert len({id(spot) for spot in spots}) == len({id(row) for row in tails}) == 7
+        for row, spot in zip(tails, spots):
+            assert len(spot) == 1 << B
+            assert [spot[w] for w in row] == list(range(len(row)))
+            assert spot.count(-1) == (1 << B) - len(row)
+        assert places[0] is None
+        for h in range(1, 1 << B):
+            need = -min([0, *oracle._heights(h)])
+            assert rows[h] is tails[need] and places[h] is spots[need], h
+
+    @staticmethod
+    def _least_high_part(need, start):
+        return next(h for h in range(start, 1 << 24) if -min([0, *oracle._heights(h)]) == need)
+
+    def _every_block_under(self, h):
+        # each low block under h: a member gets the ordinal that iter_from
+        # counts from the oracle's ordinal of the first member there, and a
+        # non-member the refusal of core._require_dyck
+        B = sequence._B
+        first = next(d for d in range(h << B, h + 1 << B) if core.is_dyck_number(d))
+        terms = takewhile(lambda d: d >> B == h, sequence.iter_from(first))
+        ordinals = {d: i for i, d in enumerate(terms, start=oracle._index_of(first))}
+        for d in range(h << B, h + 1 << B):
+            got = _outcome(sequence.index_of, d)
+            if d in ordinals:
+                assert got == ordinals[d], d
+            else:
+                assert got == _outcome(core._require_dyck, d), d
+                assert got[0] is core.NotDyckNumberError, d
+
+    @pytest.mark.parametrize("need", range(12))
+    def test_every_low_block_under_one_high_part_per_need(self, need):
+        # the least high part of each need reads each place list, the -1
+        # entries included; a 12-digit high part needs 11 at most
+        h = self._least_high_part(need, 1)
+        assert h < 1 << sequence._B
+        self._every_block_under(h)
+
+    def test_every_low_block_under_a_13_digit_high_part(self):
+        # past 2**24, on the stepped path; need 2 shares the list of need
+        # 1, which refuses blocks that end at 0 besides those that dip
+        h = self._least_high_part(2, 1 << sequence._B)
+        assert h.bit_length() == sequence._B + 1
+        self._every_block_under(h)
 
     def test_each_high_part_starts_at_its_least_term(self):
         # the term before each start is a Dyck number below h << 12 whose

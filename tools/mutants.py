@@ -67,7 +67,7 @@ MUTANTS = (
         CORE,
         "low, up = level - _DEPTH[b], _DEPTH[b]",
         "low, up = level - _DEPTH[b], 0",
-        ("tests/test_core.py",),
+        ("tests/test_core.py::TestWideDips::test_planted_dip",),
     ),
     Mutant(
         "scan places a dip one byte late",
@@ -139,8 +139,8 @@ MUTANTS = (
     Mutant(
         "last row cut before the range's last term",
         SEQUENCE,
-        "stop = bisect_right(row, last & mask)",
-        "stop = bisect_left(row, last & mask)",
+        "stop = bisect_right(row, last & _MASK)",
+        "stop = bisect_left(row, last & _MASK)",
         ("tests/test_sequence.py",),
     ),
     Mutant(
@@ -159,10 +159,10 @@ MUTANTS = (
     ),
     # sequence: ranking
     Mutant(
-        "the table of high parts read past 2**24",
+        "the place lists of high parts read past 2**24",
         SEQUENCE,
-        "elif not d >> 2 * _B:",
-        "elif not d >> 2 * _B + 1:",
+        "if _MASK < d < _NARROW:",
+        "if _MASK < d < 2 * _NARROW:",
         ("tests/test_sequence.py",),
     ),
     Mutant(
@@ -184,15 +184,38 @@ MUTANTS = (
     Mutant(
         "index_of's membership read takes any place in the row",
         SEQUENCE,
-        "if row[at : at + 1] == (w,):",
-        "if at < len(row):",
+        """at = places[d >> _B][d & _MASK]
+        if at >= 0:""",
+        """at = places[d >> _B][d & _MASK]
+        if at >= -1:""",
         ("tests/test_sequence.py",),
     ),
     Mutant(
-        "index_of reads a row for a need past 12",
+        "index_of's membership read takes any small term's place",
         SEQUENCE,
-        "row = tails[need] if need <= _B else ()",
-        "row = tails[min(need, _B)]",
+        "if small[at : at + 1] == (d,):",
+        "if at < len(small):",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "a missing block's place set to 0",
+        SEQUENCE,
+        "spot = [-1] * (1 << _B)",
+        "spot = [0] * (1 << _B)",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "the narrow path reads the wrong high part's places",
+        SEQUENCE,
+        "at = places[d >> _B][d & _MASK]",
+        "at = places[d >> _B | 1][d & _MASK]",
+        ("tests/test_sequence.py",),
+    ),
+    Mutant(
+        "index_of reads a place list for a need past 12",
+        SEQUENCE,
+        "at = spots[need][d & _MASK] if need <= _B else -1",
+        "at = spots[min(need, _B)][d & _MASK]",
         ("tests/test_sequence.py",),
     ),
     # emit_bfile: the century template and the lines written one at a time
