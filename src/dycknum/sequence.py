@@ -11,34 +11,31 @@ term_at and index_of rank and unrank exactly through one table of first
 ranks, built on the first ranking past the terms below 2**12: the rank
 at which each 12-digit high part's row of low blocks starts, and then
 the counts of Dyck numbers below 2**k for k = 25..64. Built with it, a
-list of block places per row gives each of the 4,096 low blocks its
+list of block places per distinct row gives each 12-digit low block its
 place in that row, or -1 where the block does not complete the high
-part; rows are shared by need, so there are 7 such lists. Below 2**24,
-term_at takes one bisection of the table of first ranks and one index
-into a row, and index_of two list indexings. From 25 bits on they count
-the walks with ballot numbers: a range of up to 64 bits is found in the
-same table, wider ones by their sizes, and each count is stepped from
-the one before by one multiply and one exact divide by small integers,
-so an ordinal costs O(k) such steps and no successor steps. index_of
-reads membership once, from a list of block places: the digits above
-the lowest 12 fix the row that can complete them, and the input is a
-Dyck number exactly when its lowest 12 digits have a place in that row,
-so only a refusal scans the input to name its violating suffix. Below
-2**12 it bisects the table of small terms instead, which needs no table
-of first ranks.
+part. Below 2**24, term_at takes one bisection of the table of first
+ranks and one index into a row, and index_of two list indexings. From 25
+bits on they count the walks with ballot numbers: a range of up to 64
+bits is found in the same table, wider ones by their sizes, and each
+count is stepped from the one before by one multiply and one exact
+divide by small integers, so an ordinal costs O(k) such steps and no
+successor steps. index_of reads membership once, from a list of block
+places: the digits above the lowest 12 fix the row that can complete
+them, and the input is a Dyck number exactly when its lowest 12 digits
+have a place in that row, so only a refusal scans the input to name its
+violating suffix. Below 2**12 it bisects the table of small terms
+instead, which needs no table of first ranks.
 
 iter_from and iter_range enumerate in blocks: a term is a high part
 followed by a 12-digit low block, and each valid high part is followed
 by every low block whose walk ends high enough to carry it, taken in
-order from a table; the high part 0 takes the 989 Dyck numbers below
-2**12 from a table of their own. The tables (3,499 distinct entries: 989
-small terms and 2,510 low blocks, since each odd row of low blocks is
-the even row after it) are built on the first enumeration or ranking,
-not at import. The walk yields each high part's row of low blocks; the
-enumerations join each row to its high part in one C-level map, or_ over
-repeat(high << 12) and the row, and range_stats adds up the rows'
-lengths. The walk stops at a range's last term by value, independently
-of ballot counts.
+order from a table; the high part 0 takes the Dyck numbers below 2**12
+from a table of their own. The tables are built on the first enumeration
+or ranking, not at import. The walk yields each high part's row of low
+blocks; the enumerations join each row to its high part in one C-level
+map, or_ over repeat(high << 12) and the row, and range_stats adds up
+the rows' lengths. The walk stops at a range's last term by value,
+independently of ballot counts.
 
 Ordinals are 1-based with term 1 equal to 0, matching the published
 A036991 b-file (term 13496 is 65535).
@@ -87,25 +84,17 @@ def _tables() -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     # tails[need] the _B-digit nonnegative walks ending at height >= need,
     # each ascending; built on first use, by adding one top digit at a time
     small = [0]
-    ends = [[0]]  # ends[h]: the walks so far that end at height h, ascending
+    ends = [[0]]  # ends[h]: the walks so far that end at height h
     for j in range(_B):
         up = (1 << j).__or__
         # a leading 1 over the j-digit walks gives range j + 1
         small += sorted(map(up, chain.from_iterable(ends)))
-        # a top digit 0 steps down from h + 1 and sorts before a top digit
-        # 1, which steps up from h - 1; at[h + 1] is ends[h], or empty
+        # a top digit 0 steps down from h + 1 and a top digit 1 up from
+        # h - 1; at[h + 1] is ends[h], or empty
         at = [[]] + ends + [[], []]
         ends = [at[h + 2] + list(map(up, at[h])) for h in range(j + 2)]
-    # a _B-digit walk ends at a height of _B's parity, so every other need
-    # has no walks of its own and its row is the row of need + 1, the same
-    # tuple; each other row merges its own walks into the row of need + 1
-    tails = []
-    row: tuple[int, ...] = ()
-    for need in range(_B, -1, -1):
-        if ends[need]:
-            row = tuple(sorted(ends[need] + list(row)))
-        tails.append(row)
-    return tuple(small), tuple(reversed(tails))
+    tails = (tuple(sorted(chain.from_iterable(ends[need:]))) for need in range(_B + 1))
+    return tuple(small), tuple(tails)
 
 
 def _next_high(high: int) -> tuple[int, int]:
@@ -239,7 +228,7 @@ def _high_parts() -> tuple[
     sizes = (size for _, size in islice(_ranges(2 * _B), _TABLED))
     spots: list[list[int]] = []
     for need, row in enumerate(tails):
-        if not need or row is not tails[need - 1]:
+        if not need or row != tails[need - 1]:
             spot = [-1] * (1 << _B)
             for at, w in enumerate(row):
                 spot[w] = at

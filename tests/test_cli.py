@@ -3,6 +3,7 @@
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dycknum import bfile, cli, core, oracle, sequence
 from dycknum.cli import main
@@ -671,6 +672,127 @@ class TestParsing:
             main(["check", "--", "-5"])
         assert exc_info.value.code == 2
         assert "must be non-negative: '-5'" in capsys.readouterr().err
+
+
+class _Full(BaseException):
+    """Raised by _Sink past its size, through any handler of Exception."""
+
+
+class _Sink:
+    # a stdout that takes 64 kB, so that an endless stream ends the run
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        if self.size > 1 << 16:
+            raise _Full
+
+    def flush(self):
+        pass
+
+
+@pytest.fixture(scope="session")
+def bfile_paths(tmp_path_factory):
+    # a b-file of each kind that bfile --check reads, a directory and a
+    # path where nothing is
+    from itertools import islice
+
+    root = tmp_path_factory.mktemp("bfiles")
+    canonical = bfile.emit_bfile(islice(sequence.iter_from(0), 30), 1)
+    files = {
+        "canonical": canonical.encode(),
+        "crlf": canonical.replace("\n", "\r\n").encode(),
+        "empty": b"",
+        "index-0": b"0 0\n",
+        "malformed": b"1 0\n2 x\n",
+        "mismatch": b"1 0\n2 2\n",
+        "latin-1": b"# caf\xe9\n1 0\n",
+    }
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+    return [*(str(root / name) for name in files), str(root), str(root / "missing")]
+
+
+class TestNoTraceback:
+    """Every argument list ends in an exit status, a usage error or output."""
+
+    @staticmethod
+    def numerals():
+        # edge values of each argument, numerals past the digit limit, and
+        # texts that are no numeral
+        limit = core._str_digit_limit()
+        return [
+            "0", "-0", "1", "5", " 7 ", "+1", "0_1", "\u0661\u0662", "\uff19\uff18\uff19",
+            *(str((1 << e) + s) for e in (12, 24, 64) for s in (-1, 1)),
+            # the ordinals of the last term below 2**12 and of the first
+            # above it, and the same around 2**24
+            "989", "990", "2786656", "2786657",
+            str(sys.maxsize + 1),
+            # a member and a non-member whose decimal forms pass the limit
+            "0x" + "f" * 4000, "0x8" + "0" * 3999,
+            "1" + "0" * limit, "9" * 4301, "-" + "0" * 4301,
+            "", "-", "--", "-5", "1e3", "0b", "0b102", "abc",
+        ]
+
+    @staticmethod
+    def lists_wide_terms(parser, argv):
+        # range K --list builds K-bit terms: megabytes each past K = 2**20,
+        # up to more than the host holds below 2**63, where CPython refuses
+        # the first at once
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            return False
+        return args.command == "range" and args.list and 1 << 20 < args.k < 1 << 63
+
+    @settings(deadline=None, max_examples=500)
+    @given(data=st.data())
+    def test_every_run_ends_in_an_exit_status_or_output(self, bfile_paths, data):
+        import argparse
+        import io
+        from itertools import chain
+
+        parser = cli.build_parser()
+        commands = next(
+            action.choices
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        name = data.draw(st.sampled_from(sorted(commands)))
+        # a value for each positional argument, then options, each with a
+        # value when it takes one: a choice, a numeral where the parser
+        # reads a number, a path where it keeps the text. Help exits 0
+        # having run nothing, so it is left out
+        argv, options = [name], []
+        for action in commands[name]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            value = st.sampled_from(
+                action.choices or (self.numerals() if action.type else bfile_paths)
+            )
+            if not action.option_strings:
+                argv.append(data.draw(value))
+            elif action.nargs == 0:
+                options.append(st.sampled_from(action.option_strings).map(lambda o: [o]))
+            else:
+                options.append(st.tuples(st.sampled_from(action.option_strings), value).map(list))
+        if options:
+            argv += chain.from_iterable(data.draw(st.lists(st.one_of(options), max_size=3)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "MAX_COUNTED_RANGE", 5)
+            mp.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", 1 << 20)
+            mp.setattr(sys, "stdout", _Sink())
+            mp.setattr(sys, "stderr", io.StringIO())
+            assume(not self.lists_wide_terms(parser, argv))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+            except _Full:
+                pass
+            else:
+                assert code in (0, 1), argv
 
 
 class TestBrokenPipe:

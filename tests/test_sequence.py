@@ -232,11 +232,12 @@ class TestBlockWalk:
             assert list(tail) == sorted(w for w, end in ends.items() if end >= need)
 
     def test_odd_rows_are_the_even_rows_after_them(self):
-        # a 12-digit walk ends at an even height, so no walk ends at 2t - 1
+        # a 12-digit walk ends at an even height, so no walk ends at 2t - 1;
+        # _next_high gives need 12 for a lowest point of -11 by this
         tails = sequence._tables()[1]
         for t in range(1, sequence._B // 2 + 1):
-            assert tails[2 * t - 1] is tails[2 * t], t
-        assert len({id(row) for row in tails}) == sequence._B // 2 + 1
+            assert tails[2 * t - 1] == tails[2 * t], t
+        assert len(set(tails)) == sequence._B // 2 + 1
 
     def test_high_part_successor_against_a_search(self):
         # every Dyck number and every valid high part below 2**13: the Dyck
@@ -541,12 +542,12 @@ class TestHighPartTable:
 
     def test_places_invert_the_rows(self):
         # places[h][w] is w's place in rows[h], or -1, in one list per
-        # distinct row of low blocks, shared as the rows are
+        # distinct row of low blocks
         B = sequence._B
         rows, _, places, spots = sequence._high_parts()
         tails = sequence._tables()[1]
         assert len(spots) == B + 1
-        assert len({id(spot) for spot in spots}) == len({id(row) for row in tails}) == 7
+        assert len({id(spot) for spot in spots}) == len(set(tails)) == 7
         for row, spot in zip(tails, spots):
             assert len(spot) == 1 << B
             assert [spot[w] for w in row] == list(range(len(row)))

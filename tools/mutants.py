@@ -4,7 +4,7 @@ Run it from anywhere with ``python tools/mutants.py``; it needs pytest and
 hypothesis, as the tests do. Each mutant is one exact text replacement in
 one file. For each, the script copies src/, tests/, pyproject.toml and
 README.md to a temporary directory, applies the replacement there and
-runs the named tests, files or pytest node ids, with
+runs its tests, by default the mutated module's test file, with
 ``-x -q -p no:cacheprovider`` under a time limit. The tests must fail: a
 mutant whose tests pass survives. Before the mutants, the same tests
 must pass on the unchanged copy, so that a failure is the mutant's. The
@@ -37,7 +37,13 @@ class Mutant(NamedTuple):
     path: str
     old: str
     new: str
-    tests: tuple[str, ...]
+    # the test files or pytest node ids that must fail; by default the
+    # mutated module's own test file, tests/test_X.py for src/dycknum/X.py
+    tests: tuple[str, ...] = ()
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return self.tests or (f"tests/test_{Path(self.path).stem}.py",)
 
 
 CORE = "src/dycknum/core.py"
@@ -53,14 +59,12 @@ MUTANTS = (
         CORE,
         "if up < 8 and up < _DEPTH[b]:",
         "if up < 7 and up < _DEPTH[b]:",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "scan pads above the width with one 0",
         CORE,
         "(n | 255 << width)",
         "(n | 127 << width)",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "scan resets the height above the lowest point to 0",
@@ -74,14 +78,12 @@ MUTANTS = (
         CORE,
         "pos = 8 * (size - 1 - rest.__length_hint__())",
         "pos = 8 * (size - rest.__length_hint__())",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "byte lows composed with the halves swapped",
         CORE,
         "_LOW4[b & 15], 2 * (b & 15).bit_count() - 4 + _LOW4[b >> 4]",
         "_LOW4[b >> 4], 2 * (b >> 4).bit_count() - 4 + _LOW4[b & 15]",
-        ("tests/test_core.py",),
     ),
     # core: the functions on top of it
     Mutant(
@@ -89,42 +91,36 @@ MUTANTS = (
         CORE,
         "min(-rep, low - 2 * rep + 2)",
         "min(-rep, low - 2 * rep + 1)",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "successor scans above the run from height 0",
         CORE,
         "low = _scan(d >> rep, d.bit_length() - rep, rep)",
         "low = _scan(d >> rep, d.bit_length() - rep, 0)",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "word balance tested by >=",
         CORE,
         "if 2 * ups.bit_count() == len(digits):",
         "if 2 * ups.bit_count() >= len(digits):",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "word's mirror scan allows a dip of 1",
         CORE,
         "if _scan(d, d.bit_length()) >= 0:",
         "if _scan(d, d.bit_length()) >= -1:",
-        ("tests/test_core.py",),
     ),
     Mutant(
         "height profile steps swapped",
         CORE,
         'bytes.maketrans(b"01", b"\\xff\\x01")',
         'bytes.maketrans(b"01", b"\\x01\\xff")',
-        ("tests/test_core.py",),
     ),
     Mutant(
         "trailing 1-run counted one too long",
         CORE,
         "return (n ^ n + 1).bit_length() - 1",
         "return (n ^ n + 1).bit_length()",
-        ("tests/test_core.py",),
     ),
     # sequence: the block walk
     # (a floor test of low > -_B would be equivalent: at low = -_B the jump
@@ -134,28 +130,24 @@ MUTANTS = (
         SEQUENCE,
         "return high + (1 << -((low + _B) // 2)), _B",
         "return high + (2 << -((low + _B) // 2)), _B",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "last row cut before the range's last term",
         SEQUENCE,
         "stop = bisect_right(row, last & _MASK)",
         "stop = bisect_left(row, last & _MASK)",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
-        "rows of low blocks not merged into the row above",
+        "a row of low blocks leaves out the walks that end at its need",
         SEQUENCE,
-        "row = tuple(sorted(ends[need] + list(row)))",
-        "row = tuple(ends[need])",
-        ("tests/test_sequence.py",),
+        "sorted(chain.from_iterable(ends[need:]))",
+        "sorted(chain.from_iterable(ends[need + 1 :]))",
     ),
     Mutant(
         "range_stats counts rows, not their low blocks",
         SEQUENCE,
         "size = sum(len(row) for _, row in _rows(first, last))",
         "size = sum(1 for _, row in _rows(first, last))",
-        ("tests/test_sequence.py",),
     ),
     # sequence: ranking
     Mutant(
@@ -163,14 +155,12 @@ MUTANTS = (
         SEQUENCE,
         "if _MASK < d < _NARROW:",
         "if _MASK < d < 2 * _NARROW:",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "index_of reads a range past the table's end",
         SEQUENCE,
         "if t + 1 < len(starts):",
         "if t + 1 <= len(starts):",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "term_at's stepped ranges start one range late",
@@ -179,7 +169,6 @@ MUTANTS = (
             if rank < size:""",
         """for m, size in _ranges(2 * _B + _TABLED + 1):
             if rank < size:""",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "index_of's membership read takes any place in the row",
@@ -188,35 +177,30 @@ MUTANTS = (
         if at >= 0:""",
         """at = places[d >> _B][d & _MASK]
         if at >= -1:""",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "index_of's membership read takes any small term's place",
         SEQUENCE,
         "if small[at : at + 1] == (d,):",
         "if at < len(small):",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "a missing block's place set to 0",
         SEQUENCE,
         "spot = [-1] * (1 << _B)",
         "spot = [0] * (1 << _B)",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "the narrow path reads the wrong high part's places",
         SEQUENCE,
         "at = places[d >> _B][d & _MASK]",
         "at = places[d >> _B | 1][d & _MASK]",
-        ("tests/test_sequence.py",),
     ),
     Mutant(
         "index_of reads a place list for a need past 12",
         SEQUENCE,
         "at = spots[need][d & _MASK] if need <= _B else -1",
         "at = spots[min(need, _B)][d & _MASK]",
-        ("tests/test_sequence.py",),
     ),
     # emit_bfile: the century template and the lines written one at a time
     Mutant(
@@ -224,14 +208,12 @@ MUTANTS = (
         BFILE,
         "template[start % 100 * (len(first) + 6) : cut]",
         "template[(start % 100 - 1) * (len(first) + 6) : cut]",
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "century tail cut one line long",
         BFILE,
         "(99 - (end - 1) % 100) * (len(last) + 6)",
         "(100 - (end - 1) % 100) * (len(last) + 6)",
-        ("tests/test_bfile.py",),
     ),
     # any threshold from 10 to 100 writes the same text, since century 0's
     # lines of indices 10 to 99 all take the prefix ""; below 10 it differs
@@ -240,28 +222,24 @@ MUTANTS = (
         BFILE,
         "start = max(offset, min(end, 10))",
         "start = max(offset, min(end, 9))",
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "end prefixes from [:-1]",
         BFILE,
         "first, last = str(start)[:-2], str(end - 1)[:-2]",
         "first, last = str(start)[:-1], str(end - 1)[:-1]",
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "last prefix divided, not cut from the last index",
         BFILE,
         "str(end - 1)[:-2]",
         "str((end - 1) // 100)",
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "century lines space-padded",
         BFILE,
         '_CENTURY = ("", *map("%02d %%d\\n".__mod__, range(100)))',
         '_CENTURY = ("", *map("%2d %%d\\n".__mod__, range(100)))',
-        ("tests/test_bfile.py",),
     ),
     # parsing, comparing and the CLI's writer
     Mutant(
@@ -269,14 +247,12 @@ MUTANTS = (
         BFILE,
         'if "-" in part or emit_bfile(',
         "if emit_bfile(",
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "compare swaps expected and actual",
         BFILE,
         "(lo + i, expected[i], actual[i])",
         "(lo + i, actual[i], expected[i])",
-        ("tests/test_bfile.py",),
     ),
     # (< never holds, since splitlines never finds fewer lines than there
     # are newlines, so this removes the check)
@@ -285,21 +261,18 @@ MUTANTS = (
         BFILE,
         'if len(text[:pos].splitlines()) != text.count("\\n", 0, pos):',
         'if len(text[:pos].splitlines()) < text.count("\\n", 0, pos):',
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "bulk parse cuts a chunk before its last newline",
         BFILE,
         'end = text.rfind("\\n", pos, pos + _CHUNK) + 1 or',
         'end = text.rfind("\\n", pos, pos + _CHUNK) or',
-        ("tests/test_bfile.py",),
     ),
     Mutant(
         "the writer's digit-limit cut one digit late",
         CLI,
         "bound = 10**limit if limit",
         "bound = 10 ** (limit + 1) if limit",
-        ("tests/test_cli.py",),
     ),
     # the output is the same; only the memory of a long stream grows. The
     # node id leaves out range 50000, where such a writer takes about 20 s
@@ -325,7 +298,6 @@ MUTANTS = (
         SEQUENCE,
         "repeat(high << _B)",
         "repeat(high)",
-        ("tests/test_sequence.py",),
     ),
     # oracle: the slow references themselves
     Mutant(
@@ -333,49 +305,42 @@ MUTANTS = (
         ORACLE,
         'if suffix.count("0") > suffix.count("1"):',
         'if suffix.count("0") >= suffix.count("1"):',
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "successor's candidates not charged",
         ORACLE,
         "spent := spent + _scan_cost(candidate.bit_length())",
         "spent := spent + 1",
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle refuses by core's membership test",
         ORACLE,
         "if suffix is not None:",
         'if not __import__("dycknum.core").core.is_dyck_number(n):',
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle names a refusal's suffix by core's scan",
         ORACLE,
         "suffix = _violating_suffix(n)",
         'suffix = __import__("dycknum.core").core.violating_suffix(n)',
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle keeps a 0 digit when the rank left equals its count",
         ORACLE,
         "if rank < with_zero:",
         "if rank <= with_zero:",
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle's successor tries one candidate too few at a 0 digit",
         ORACLE,
         "for ones in range(p + 1):",
         "for ones in range(p):",
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle ranks through sequence",
         ORACLE,
         "    rank, k = i - 2, 1\n",
         '    return __import__("dycknum.sequence").sequence.term_at(i)\n',
-        ("tests/test_oracle.py",),
     ),
     Mutant(
         "oracle's successor through core",
@@ -383,7 +348,6 @@ MUTANTS = (
         "    for p in range(d.bit_length() + 1):\n",
         '    return __import__("dycknum.core").core.successor(d)\n'
         "    for p in range(d.bit_length() + 1):\n",
-        ("tests/test_oracle.py",),
     ),
 )
 
@@ -415,7 +379,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp, "clean")
         _copy(clean)
-        for tests in dict.fromkeys(m.tests for m in MUTANTS):
+        for tests in dict.fromkeys(m.targets for m in MUTANTS):
             status, output = _run(clean, tests)
             if status != 0:
                 print(output, end="")
@@ -432,12 +396,12 @@ def main() -> int:
             _copy(tree)
             (tree / mutant.path).write_text(text.replace(mutant.old, mutant.new))
             began = time.perf_counter()
-            status, output = _run(tree, mutant.tests)
+            status, output = _run(tree, mutant.targets)
             took = f"{time.perf_counter() - began:.1f} s"
             if status == 1:
                 print(f"killed   {mutant.name} ({took})")
             elif status == 0:
-                print(f"SURVIVED {mutant.name} ({took}): {' '.join(mutant.tests)} pass")
+                print(f"SURVIVED {mutant.name} ({took}): {' '.join(mutant.targets)} pass")
                 bad += 1
             else:
                 print(output, end="")
