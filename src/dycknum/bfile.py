@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import compress, count
-from operator import ne
+from operator import attrgetter, ne
 
 from . import core
 
@@ -43,21 +43,16 @@ class BFile:
     Immutable; equal when both fields are, and copied or pickled by them.
     """
 
-    __slots__ = ("offset", "values")
-    __match_args__ = __slots__
-
-    offset: int
-    values: tuple[int, ...]
+    __slots__ = ("_offset", "_values")
+    __match_args__ = ("offset", "values")
 
     def __init__(self, offset: int, values: tuple[int, ...]):
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "values", values)
+        self._offset = offset
+        self._values = values
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    # properties without a setter, which refuse assignment and deletion
+    offset = property(attrgetter("_offset"))
+    values = property(attrgetter("_values"))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -70,10 +65,6 @@ class BFile:
     def __repr__(self) -> str:
         name = type(self).__qualname__
         return f"{name}(offset={self.offset!r}, values={self.values!r})"
-
-    def __reduce__(self) -> tuple:
-        # rebuilt through __init__, since __setattr__ refuses
-        return type(self), (self.offset, self.values)
 
     def __len__(self) -> int:
         return len(self.values)

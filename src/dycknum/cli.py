@@ -111,7 +111,8 @@ def _write(terms, binary=False, sep="\n", offset=None) -> None:
 
 def _require_counted(args: argparse.Namespace, k: int) -> None:
     if k > MAX_COUNTED_RANGE:
-        args.parser.error(f"range {k} is past MAX_COUNTED_RANGE = {MAX_COUNTED_RANGE}")
+        name = core._named(k)
+        args.parser.error(f"range {name} is past MAX_COUNTED_RANGE = {MAX_COUNTED_RANGE}")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -142,7 +143,9 @@ def _cmd_range(args: argparse.Namespace) -> int:
             # past what a Python int can hold, or what memory can: CPython
             # refuses 1 << k at once for k near 2**63, and a heap limit
             # refuses it for smaller k
-            args.parser.error(f"range {args.k}: Python cannot build integers of {args.k} bits")
+            k = core._named(args.k)
+            bits = k if k.isdecimal() else "that many"
+            args.parser.error(f"range {k}: Python cannot build integers of {bits} bits")
         _write(terms, args.binary, sep=" ")
         return 0
     _require_counted(args, args.k)

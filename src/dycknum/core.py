@@ -56,6 +56,12 @@ _DIGIT_STEPS = bytes.maketrans(b"01", b"\xff\x01")
 _DECIMAL_BITS = 1024
 
 
+def _named(n: int) -> str:
+    # n in decimal, or by its bit length past _DECIMAL_BITS
+    width = n.bit_length()
+    return str(n) if width <= _DECIMAL_BITS else f"a {width}-bit number"
+
+
 def _str_digit_limit() -> int:
     # the interpreter's cap on int <-> decimal text conversion, 0 for none
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -84,10 +90,8 @@ class NotDyckNumberError(ValueError):
     def __init__(self, value: int, suffix: str):
         self.value = value
         self.suffix = suffix
-        width = value.bit_length()
-        shown = str(value) if width <= _DECIMAL_BITS else f"a {width}-bit number"
         super().__init__(
-            f"{shown} is not a Dyck number: suffix {suffix} of its binary "
+            f"{_named(value)} is not a Dyck number: suffix {suffix} of its binary "
             f"expansion has more 0s than 1s"
         )
 

@@ -174,6 +174,31 @@ class TestCountingBound:
             f"dyck range: error: range {k}: Python cannot build integers of {k} bits\n"
         )
 
+    # a range index whose decimal form passes Python's digit limit at any
+    # setting; the refusals name it by its bit length, as core._named does
+    # a number wider than core._DECIMAL_BITS
+    WIDE = "0x8" + "0" * 3999
+    PAST = "range a 16000-bit number is past MAX_COUNTED_RANGE = 32\n"
+
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["range", WIDE], f"dyck range: error: {PAST}"),
+            (["range", WIDE, "--binary"], f"dyck range: error: {PAST}"),
+            (
+                ["range", WIDE, "--list"],
+                "dyck range: error: range a 16000-bit number: Python cannot build "
+                "integers of that many bits\n",
+            ),
+            (["verify-conjecture", "--max-range", WIDE], f"dyck verify-conjecture: error: {PAST}"),
+        ],
+        ids=["stats", "binary", "list", "verify-conjecture"],
+    )
+    def test_range_too_wide_for_decimal_is_refused(self, capsys, monkeypatch, argv, refusal):
+        err = _refused(capsys, monkeypatch, *argv)
+        assert err.endswith(refusal)
+        assert "Exceeds the limit" not in err
+
 
 class TestEnumerate:
     def test_defaults(self, capsys):
@@ -783,7 +808,8 @@ class TestNoTraceback:
             mp.setattr(cli, "MAX_COUNTED_RANGE", 5)
             mp.setattr(oracle, "SUCCESSOR_SCAN_BUDGET", 1 << 20)
             mp.setattr(sys, "stdout", _Sink())
-            mp.setattr(sys, "stderr", io.StringIO())
+            err = io.StringIO()
+            mp.setattr(sys, "stderr", err)
             assume(not self.lists_wide_terms(parser, argv))
             try:
                 code = main(argv)
@@ -793,6 +819,9 @@ class TestNoTraceback:
                 pass
             else:
                 assert code in (0, 1), argv
+        # Python's own message for a number put into decimal text past its
+        # digit limit: every refusal must say what went wrong in its own words
+        assert "Exceeds the limit" not in err.getvalue(), argv
 
 
 class TestBrokenPipe:

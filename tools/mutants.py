@@ -122,6 +122,12 @@ MUTANTS = (
         "return (n ^ n + 1).bit_length() - 1",
         "return (n ^ n + 1).bit_length()",
     ),
+    Mutant(
+        "a number of _DECIMAL_BITS bits named by its bit length",
+        CORE,
+        "str(n) if width <= _DECIMAL_BITS else",
+        "str(n) if width < _DECIMAL_BITS else",
+    ),
     # sequence: the block walk
     # (a floor test of low > -_B would be equivalent: at low = -_B the jump
     # is by 1 and the need is _B, as on the other branch)
@@ -241,6 +247,20 @@ MUTANTS = (
         '_CENTURY = ("", *map("%02d %%d\\n".__mod__, range(100)))',
         '_CENTURY = ("", *map("%2d %%d\\n".__mod__, range(100)))',
     ),
+    # the BFile record: properties over two private slots
+    Mutant(
+        "offset reads the values slot",
+        BFILE,
+        'offset = property(attrgetter("_offset"))',
+        'offset = property(attrgetter("_values"))',
+    ),
+    Mutant(
+        "BFile matches its fields in swapped positions",
+        BFILE,
+        '__match_args__ = ("offset", "values")',
+        '__match_args__ = ("values", "offset")',
+        ("tests/test_surface.py::TestRecordDetails::test_bfile_matches_by_position",),
+    ),
     # parsing, comparing and the CLI's writer
     Mutant(
         "bulk parse takes a negative value",
@@ -283,6 +303,21 @@ MUTANTS = (
         "_CHUNK_BITS = 1 << 17",
         "_CHUNK_BITS = 1 << 40",
         ("tests/test_cli.py::TestWriterMemory::test_range_list_peaks_below_30_mb[range-24]",),
+    ),
+    # a range index too wide for decimal text, named in a refusal
+    Mutant(
+        "the counting bound's refusal names k in decimal",
+        CLI,
+        "name = core._named(k)",
+        'name = f"{k}"',
+        ("tests/test_cli.py::TestCountingBound",),
+    ),
+    Mutant(
+        "the list refusal names k in decimal",
+        CLI,
+        "k = core._named(args.k)",
+        "k = str(args.k)",
+        ("tests/test_cli.py::TestCountingBound",),
     ),
     # the README's dyck transcript pins the CLI's stdout
     Mutant(
