@@ -121,14 +121,15 @@ _LOW = [min(_LOW4[b & 15], 2 * (b & 15).bit_count() - 4 + _LOW4[b >> 4]) for b i
 _DEPTH = [-low for low in _LOW]
 
 
-def _scan(n: int, width: int, level: int = 0) -> int:
-    # the lowest height of the width-bit walk n started at level >= 0, or,
-    # if the walk goes below 0, ~p for the first bit position p, counted
-    # from the low end, at which it does; the top byte is padded with up
-    # steps, which can neither dip nor lower the minimum
+def _scan(n: int, width: int, level: int = 0, up: int = 0) -> int:
+    # the lowest height of the width-bit walk n started up steps above
+    # level >= 0, the lowest height before it, or, if the walk goes below
+    # 0, ~p for the first bit position p, counted from the low end, at
+    # which it does; the top byte is padded with up steps, which can
+    # neither dip nor lower the minimum
     if n < 0:
         raise ValueError(f"expected a natural number, got {n}")
-    low, up = level, 0  # the lowest height so far, and the current height above it
+    low = level  # the lowest height so far; up is the current height above it
     size = width + 15 >> 3
     # length and byteorder both given, positionally: Python 3.10 has no
     # defaults for them, and only the CI's 3.10 leg would catch an omission
@@ -283,17 +284,34 @@ def successor(d: int) -> int:
 def _word_violation(word: str, digits: bytes) -> str | None:
     # the walk is the word's digits before the first x, reversed so that
     # the first step is its low bit, and a dip in it comes before the
-    # invalid step that ends it
+    # invalid step that ends it. Up to 64 steps it is read whole, by one
+    # reversing slice. A longer or empty walk is read in chunks, the first
+    # of 64 steps and each later one 64 steps longer than three times all
+    # before it, and the read stops at the first chunk that dips, within
+    # about four times the steps before the dip. A chunk is scanned from
+    # the height the walk has reached, up from its lowest point so far, 0,
+    # where it started
     steps = digits.find(b"x")
     if steps < 0:
         steps = len(digits)
-    walk = int(digits[:steps][::-1] or b"0", 2)
-    low = _scan(walk, steps)
-    if low < 0:
-        return f"path dips below ground at step {~low + 1}"
+    if 0 < steps <= 64:
+        walk = int(digits[steps - 1 :: -1], 2)
+        low = _scan(walk, steps)
+        if low < 0:
+            return f"path dips below ground at step {~low + 1}"
+        level = 2 * walk.bit_count() - steps
+    else:
+        path, at, level = digits[:steps], 0, 0
+        while at < steps:
+            chunk = path[at : 4 * at + 64]
+            walk = int(chunk[::-1], 2)
+            low = _scan(walk, len(chunk), 0, level)
+            if low < 0:
+                return f"path dips below ground at step {at + ~low + 1}"
+            level += 2 * walk.bit_count() - len(chunk)
+            at += len(chunk)
     if steps < len(word):
         return f"invalid step {word[steps]!r} at position {steps} (expected U or D)"
-    level = 2 * walk.bit_count() - steps
     if level != 0:
         return f"unbalanced: {level} more up steps than down steps"
     return None

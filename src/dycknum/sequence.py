@@ -13,11 +13,14 @@ at which each 12-digit high part's row of low blocks starts, and then
 the counts of Dyck numbers below 2**k for k = 25..64. Built with it, a
 list of block places per distinct row gives each 12-digit low block its
 place in that row, or -1 where the block does not complete the high
-part. Below 2**24, term_at takes one bisection of the table of first
-ranks and one index into a row, and index_of two list indexings. From 25
-bits on they count the walks with ballot numbers: a range of up to 64
-bits is found in the same table, wider ones by their sizes, and each
-count is stepped from the one before by one multiply and one exact
+part, and a hint gives, per bucket of 256 ranks, the high part whose row
+holds the bucket's first rank. Below 2**24, term_at reads the hint at
+its rank, steps to the row that holds the rank, in at most one step but
+where rows are short, and indexes that row; index_of takes two list
+indexings. Both read these tables without a call once they are built.
+From 25 bits on they count the walks with ballot numbers: a range of up
+to 64 bits is found in the same table, wider ones by their sizes, and
+each count is stepped from the one before by one multiply and one exact
 divide by small integers, so an ordinal costs O(k) such steps and no
 successor steps. index_of reads membership once, from a list of block
 places: the digits above the lowest 12 fix the row that can complete
@@ -202,23 +205,40 @@ def _ranges(m: int) -> Iterator[tuple[int, int]]:
 
 # the ranges of 25 to 64 bits, whose sizes _high_parts()'s starts go on to sum
 _TABLED = 40
-# the Dyck numbers below 2**_B, which term_at reads from _tables()'s small
+# the Dyck numbers below 2**_B, which term_at reads from _tables()'s small,
+# and below 2**(2 * _B), which it finds through _high_parts()'s hint
 _SMALL = 1 + sum(map(central_binomial, range(_B)))
+_NARROW_RANKS = 1 + sum(map(central_binomial, range(2 * _B)))
+# the hint's buckets are 2**_BUCKET ranks wide
+_BUCKET = 8
+# _high_parts()'s rows, starts, hint and places, bound by its first call so
+# that term_at and index_of read them without one. Each is empty until
+# then; term_at tests the hint and index_of the places, each bound after
+# the tables read with it
+_high_rows = _high_starts = _high_hint = _high_places = ()
 
 
 @cache
 def _high_parts() -> tuple[
-    tuple[tuple[int, ...], ...], tuple[int, ...], tuple[list[int] | None, ...], tuple[list[int], ...]
+    tuple[tuple[int, ...], ...],
+    tuple[int, ...],
+    tuple[list[int] | None, ...],
+    tuple[list[int], ...],
+    list[int],
 ]:
-    # (rows, starts, places, spots): rows[h] the low blocks that complete
-    # the high part h, and starts[h] the Dyck numbers below h << _B;
-    # needs[h] = -_lowest(h), stepped from h >> 1 by the digit read first,
-    # is at most _B - 1. Past starts[1 << _B], the count below 2**(2 * _B),
-    # the range sizes go on to the count below 2**(2 * _B + t) at
-    # starts[(1 << _B) + t]. spots[need][w] is the place of the low block
+    # (rows, starts, places, spots, hint): rows[h] the low blocks that
+    # complete the high part h, and starts[h] the Dyck numbers below
+    # h << _B; needs[h] = -_lowest(h), stepped from h >> 1 by the digit read
+    # first, is at most _B - 1. Past starts[1 << _B], the count below
+    # 2**(2 * _B), the range sizes go on to the count below 2**(2 * _B + t)
+    # at starts[(1 << _B) + t]. spots[need][w] is the place of the low block
     # w in tails[need], or -1 where w is not there, one list per distinct
     # row; places[h] is spots[needs[h]], and places[0] is None, since
-    # index_of bisects small instead
+    # index_of bisects small instead. hint[b] is the high part whose row
+    # holds rank b << _BUCKET: each high part h is repeated for the buckets
+    # that start below starts[h + 1] and past those of the rows before it,
+    # so a row shorter than a bucket may get none
+    global _high_rows, _high_starts, _high_hint, _high_places
     small, tails = _tables()
     needs = [0]
     for h in range(1, 1 << _B):
@@ -235,33 +255,47 @@ def _high_parts() -> tuple[
         spots.append(spot)
     places = (None, *(spots[need] for need in needs[1:]))
     starts = tuple(accumulate(chain(map(len, rows), sizes), initial=0))
-    return rows, starts, places, tuple(spots)
+    hint: list[int] = []
+    for h, end in enumerate(starts[1 : len(rows) + 1]):
+        hint += [h] * (-(-end >> _BUCKET) - len(hint))
+    _high_rows, _high_starts, _high_hint, _high_places = rows, starts, hint, places
+    return rows, starts, places, tuple(spots), hint
 
 
 def term_at(i: int) -> int:
     """The i-th Dyck number, 1-based, with term_at(1) = 0.
 
-    The terms below 2**12 come from a table. Past them, one bisection of a
-    table of first ranks places i: below 2**24 at a 12-digit high part,
-    whose row of low blocks it then indexes, and up to 64 bits in a range,
-    whose first rank and size the table holds; a wider range is reached by
-    skipping whole ranges from 65 bits on by their exact sizes. Then the
-    digits below the leading 1 are chosen from the top down: a 0 is kept
-    while the rank left is below the number of walks that complete it, and
-    the last 12 digits are read from the table of low blocks. Each count
-    is stepped from the one before by one multiply and one exact divide by
-    small integers, so a k-bit term costs O(k) such steps on numbers of at
-    most k bits.
+    Below 2**24, past the terms below 2**12, the rank i - 1 is placed at a
+    12-digit high part by a table of buckets of 256 ranks, which gives the
+    high part whose row of low blocks holds each bucket's first rank. The
+    first ranks of the rows after it are compared with the rank, which
+    steps the high part at most a few times, and the row is indexed. The
+    terms below 2**12 come from a table of their own. Past 2**24, one
+    bisection of a table of first ranks places i, up to 64 bits, in a
+    range whose first rank and size the table holds; a wider range is
+    reached by skipping whole ranges from 65 bits on by their exact sizes.
+    Then the digits below the leading 1 are chosen from the top down: a 0
+    is kept while the rank left is below the number of walks that complete
+    it, and the last 12 digits are read from the table of low blocks. Each
+    count is stepped from the one before by one multiply and one exact
+    divide by small integers, so a k-bit term costs O(k) such steps on
+    numbers of at most k bits.
     """
+    if _SMALL < i <= _NARROW_RANKS:
+        if not _high_hint:
+            _high_parts()
+        rank = i - 1
+        h = _high_hint[rank >> _BUCKET]
+        while _high_starts[h + 1] <= rank:
+            h += 1
+        return h << _B | _high_rows[h][rank - _high_starts[h]]
     if i < 1:
         raise ValueError(f"ordinal must be >= 1, got {i}")
     if i <= _SMALL:
         return _tables()[0][i - 1]
-    rows, starts, _, _ = _high_parts()
+    rows, starts, _, _, _ = _high_parts()
     h = bisect_right(starts, i - 1) - 1
     rank = i - 1 - starts[h]
-    if h < len(rows):
-        return h << _B | rows[h][rank]
     if h + 1 < len(starts):
         m, size = h - len(rows) + 2 * _B, starts[h + 1] - starts[h]
     else:
@@ -314,17 +348,19 @@ def index_of(d: int) -> int:
     ValueError for d < 0.
     """
     if _MASK < d < _NARROW:
-        _, starts, places, _ = _high_parts()
-        at = places[d >> _B][d & _MASK]
+        if not _high_places:
+            _high_parts()
+        h = d >> _B
+        at = _high_places[h][d & _MASK]
         if at >= 0:
-            return starts[d >> _B] + 1 + at
+            return _high_starts[h] + 1 + at
     elif d <= _MASK:
         small = _tables()[0]
         at = bisect_left(small, d)
         if small[at : at + 1] == (d,):
             return 1 + at
     else:
-        rows, starts, _, spots = _high_parts()
+        rows, starts, _, spots, _ = _high_parts()
         top = d.bit_length() - 1
         t = top - 2 * _B + len(rows)
         if t + 1 < len(starts):

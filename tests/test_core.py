@@ -171,6 +171,19 @@ class TestScanner:
                     expected = ~dip if dip < width else level + lows[width]
                     assert core._scan(n, width, level) == expected, (n, width, level)
 
+    def test_walks_started_above_their_lowest_point(self):
+        # up steps above level, the lowest height before the walk: the
+        # lowest point stays at level unless the walk goes below it
+        for n in range(1 << 10):
+            width = n.bit_length() + 3
+            heights = oracle._heights(n, width)
+            for level in range(4):
+                for up in range(10):
+                    start = level + up
+                    dip = next((p for p, h in enumerate(heights) if h < -start), None)
+                    expected = ~dip if dip is not None else min(level, start + min(heights))
+                    assert core._scan(n, width, level, up) == expected, (n, level, up)
+
     def test_lowest_point(self):
         for n in range(1 << 14):
             assert core._lowest(n) == min([0, *oracle._heights(n)]), n
@@ -238,6 +251,34 @@ class TestScanner:
                 assert exc_info.value.word == word
                 assert str(exc_info.value) == f"{word!r} is not a Dyck word: {reason}"
                 assert not core.is_dyck_word(word)
+
+
+    def test_words_across_chunk_seams(self):
+        # past 64 steps the word check reads chunks that end at steps 64,
+        # 320 and 1344: a dip, an invalid step or an unbalanced end on
+        # either side of each seam, and members that cross it high
+        rng = random.Random(1344)
+
+        def steps(width, ground=False):
+            walk = _walk(rng, width, ground)
+            return "".join("U" if walk >> p & 1 else "D" for p in range(width))
+
+        words = []
+        for seam in (64, 320, 1344):
+            words += ["U" * seam + "D" * seam, steps(2 * seam, ground=True)]
+            for at in range(seam - 3, seam + 3):
+                ground, tail = steps(at - at % 2, ground=True), steps(seam + 8)
+                words += [ground + "D" + tail, ground + "X" + tail, ground + tail]
+                words.append(ground + "U" * (1 + at % 2))
+        for word in words:
+            reason = oracle._word_violation(word)
+            assert core.is_dyck_word(word) == (reason is None), word
+            if reason is None:
+                assert core.to_dyck_word(core.from_dyck_word(word)) == word
+                continue
+            with pytest.raises(core.NotDyckWordError) as exc_info:
+                core.from_dyck_word(word)
+            assert exc_info.value.reason == reason, word
 
 
 class TestHeightProfile:

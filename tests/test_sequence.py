@@ -513,7 +513,7 @@ class TestFirstRankTable:
     def test_entries_are_the_summed_range_sizes(self):
         # past the high parts' first ranks, entry k - 24 of the tail counts
         # the terms below 2**k, for k = 24..64
-        rows, starts, _, _ = sequence._high_parts()
+        rows, starts, _, _, _ = sequence._high_parts()
         tail = starts[len(rows) :]
         assert len(tail) == sequence._TABLED + 1
         for k, first in enumerate(tail, start=2 * sequence._B):
@@ -536,7 +536,7 @@ class TestHighPartTable:
     """Ranks below 2**24 are read from one table; check it against the core."""
 
     def test_last_start_counts_the_terms_below_2_to_24(self):
-        rows, starts, _, _ = sequence._high_parts()
+        rows, starts, _, _, _ = sequence._high_parts()
         assert len(rows) == 1 << sequence._B
         assert starts[1 << sequence._B] == 1 + sum(sequence.central_binomial(j) for j in range(24))
 
@@ -544,7 +544,7 @@ class TestHighPartTable:
         # places[h][w] is w's place in rows[h], or -1, in one list per
         # distinct row of low blocks
         B = sequence._B
-        rows, _, places, spots = sequence._high_parts()
+        rows, _, places, spots, _ = sequence._high_parts()
         tails = sequence._tables()[1]
         assert len(spots) == B + 1
         assert len({id(spot) for spot in spots}) == len(set(tails)) == 7
@@ -556,6 +556,28 @@ class TestHighPartTable:
         for h in range(1, 1 << B):
             need = -min([0, *oracle._heights(h)])
             assert rows[h] is tails[need] and places[h] is spots[need], h
+
+    def test_hint_holds_each_buckets_first_rank(self):
+        # hint[b] is the high part whose row holds rank b << 8, and term_at
+        # steps from it to the row of the rank that it looks up
+        B, width = sequence._B, 1 << sequence._BUCKET
+        rows, starts, _, _, hint = sequence._high_parts()
+        assert sequence._NARROW_RANKS == starts[1 << B]
+        assert len(hint) == -(-sequence._NARROW_RANKS // width)
+        for b, h in enumerate(hint):
+            assert starts[h] <= b * width < starts[h + 1], b
+        # each sampled bucket's first ordinal and the ordinal before it; the
+        # buckets around the one row of a single rank, and the ordinals of
+        # that row and of the last term below 2**24, each with its
+        # neighbours, join the sample
+        (single,) = [h for h, row in enumerate(rows) if len(row) == 1]
+        near = starts[single] // width
+        buckets = {*random.Random(35).sample(range(1, len(hint)), 200), near, near + 1}
+        ordinals = {i for b in buckets for i in (b * width, b * width + 1)}
+        for i in (starts[single] + 1, sequence._NARROW_RANKS):
+            ordinals |= {i - 1, i, i + 1}
+        for i in sorted(ordinals):
+            assert sequence.term_at(i) == oracle._term_at(i), i
 
     @staticmethod
     def _least_high_part(need, start):

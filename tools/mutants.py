@@ -110,6 +110,41 @@ MUTANTS = (
         "if _scan(d, d.bit_length()) >= 0:",
         "if _scan(d, d.bit_length()) >= -1:",
     ),
+    # the word check's chunks past 64 steps
+    Mutant(
+        "scan starts at its lowest point whatever up is",
+        CORE,
+        "low = level  # the lowest height so far",
+        "low, up = level, 0  # the lowest height so far",
+    ),
+    Mutant(
+        "a word's later chunks scanned from the ground",
+        CORE,
+        "low = _scan(walk, len(chunk), 0, level)",
+        "low = _scan(walk, len(chunk))",
+        ("tests/test_core.py::TestScanner::test_words_across_chunk_seams",),
+    ),
+    Mutant(
+        "a word's dip counted from its chunk's first step",
+        CORE,
+        'return f"path dips below ground at step {at + ~low + 1}"',
+        'return f"path dips below ground at step {~low + 1}"',
+        ("tests/test_core.py::TestScanner::test_words_across_chunk_seams",),
+    ),
+    Mutant(
+        "a word's height taken from its last chunk alone",
+        CORE,
+        "level += 2 * walk.bit_count() - len(chunk)",
+        "level = 2 * walk.bit_count() - len(chunk)",
+        ("tests/test_core.py::TestScanner::test_words_across_chunk_seams",),
+    ),
+    Mutant(
+        "a word's chunks read past its first invalid step",
+        CORE,
+        "path, at, level = digits[:steps], 0, 0",
+        "path, at, level = digits, 0, 0",
+        ("tests/test_core.py::TestScanner::test_words_across_chunk_seams",),
+    ),
     Mutant(
         "height profile steps swapped",
         CORE,
@@ -179,9 +214,9 @@ MUTANTS = (
     Mutant(
         "index_of's membership read takes any place in the row",
         SEQUENCE,
-        """at = places[d >> _B][d & _MASK]
+        """at = _high_places[h][d & _MASK]
         if at >= 0:""",
-        """at = places[d >> _B][d & _MASK]
+        """at = _high_places[h][d & _MASK]
         if at >= -1:""",
     ),
     Mutant(
@@ -199,8 +234,44 @@ MUTANTS = (
     Mutant(
         "the narrow path reads the wrong high part's places",
         SEQUENCE,
-        "at = places[d >> _B][d & _MASK]",
-        "at = places[d >> _B | 1][d & _MASK]",
+        "at = _high_places[h][d & _MASK]",
+        "at = _high_places[h | 1][d & _MASK]",
+    ),
+    # term_at below 2**24: the hint's buckets and the steps from them
+    Mutant(
+        "the hint gives a row the bucket that starts at its end",
+        SEQUENCE,
+        "hint += [h] * (-(-end >> _BUCKET) - len(hint))",
+        "hint += [h] * ((end >> _BUCKET) + 1 - len(hint))",
+        ("tests/test_sequence.py::TestHighPartTable::test_hint_holds_each_buckets_first_rank",),
+    ),
+    Mutant(
+        "term_at reads the hint one bucket late",
+        SEQUENCE,
+        "h = _high_hint[rank >> _BUCKET]",
+        "h = _high_hint[(rank >> _BUCKET) + 1]",
+        ("tests/test_sequence.py::TestHighPartTable::test_hint_holds_each_buckets_first_rank",),
+    ),
+    Mutant(
+        "term_at steps past a row only below its first rank",
+        SEQUENCE,
+        "while _high_starts[h + 1] <= rank:",
+        "while _high_starts[h + 1] < rank:",
+        ("tests/test_sequence.py::TestHighPartTable::test_hint_holds_each_buckets_first_rank",),
+    ),
+    Mutant(
+        "term_at's hint path stops before the last term below 2**24",
+        SEQUENCE,
+        "if _SMALL < i <= _NARROW_RANKS:",
+        "if _SMALL < i < _NARROW_RANKS:",
+        ("tests/test_sequence.py::TestHighPartTable::test_hint_holds_each_buckets_first_rank",),
+    ),
+    Mutant(
+        "term_at's hint path reads past 2**24",
+        SEQUENCE,
+        "if _SMALL < i <= _NARROW_RANKS:",
+        "if _SMALL < i <= _NARROW_RANKS + 1:",
+        ("tests/test_sequence.py::TestHighPartTable::test_table_edges",),
     ),
     Mutant(
         "index_of reads a place list for a need past 12",
